@@ -14,10 +14,10 @@
 use std::time::{Duration, Instant};
 
 use advhunter::offline::collect_template;
-use advhunter::{Detector, DetectorConfig, ExecOptions, Parallelism};
+use advhunter::{Detector, DetectorConfig, ExecOptions, Parallelism, ScenarioId};
 use advhunter_data::{scenarios, SplitSizes};
 use advhunter_exec::TraceEngine;
-use advhunter_nn::{gemm_geometries, models};
+use advhunter_nn::gemm_geometries;
 use advhunter_tensor::init;
 use advhunter_tensor::ops::{
     gemm_packed_bias_into, linear_into, linear_packed_bias_into, matmul_into, GemmOpKind,
@@ -66,7 +66,10 @@ fn main() {
     }
     let budget = measure_budget();
     let mut rng = StdRng::seed_from_u64(1);
-    let model = models::case_study_cnn(&[3, 32, 32], 10, &mut rng);
+    let model = ScenarioId::CaseStudy
+        .spec()
+        .build_graph(&mut rng)
+        .expect("case-study spec compiles");
 
     advhunter_bench::section("Inference throughput (case-study CNN, 3x32x32)");
 
@@ -307,11 +310,13 @@ fn main() {
     }
 }
 
-#[allow(dead_code)]
 fn profile_components() {
     let budget = measure_budget();
     let mut rng = StdRng::seed_from_u64(1);
-    let model = models::case_study_cnn(&[3, 32, 32], 10, &mut rng);
+    let model = ScenarioId::CaseStudy
+        .spec()
+        .build_graph(&mut rng)
+        .expect("case-study spec compiles");
     let engine = TraceEngine::new(&model);
     let image = init::uniform(&mut StdRng::seed_from_u64(5), &[3, 32, 32], 0.0, 1.0);
 

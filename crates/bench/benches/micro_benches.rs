@@ -2,10 +2,10 @@
 //! throughput, branch prediction, convolution, GMM fitting, instrumented
 //! inference, and online detector scoring.
 
-use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate};
+use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, ScenarioId};
 use advhunter_exec::TraceEngine;
 use advhunter_gmm::{EmConfig, Gmm1d};
-use advhunter_nn::{models, Mode};
+use advhunter_nn::Mode;
 use advhunter_tensor::ops::{conv2d, Conv2dSpec};
 use advhunter_tensor::{init, Tensor};
 use advhunter_uarch::{AccessKind, BranchPredictor, Cache, CacheConfig, HpcEvent, HpcSample};
@@ -71,7 +71,10 @@ fn bench_gmm_fit(c: &mut Criterion) {
 
 fn bench_instrumented_inference(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
-    let model = models::case_study_cnn(&[3, 32, 32], 10, &mut rng);
+    let model = ScenarioId::CaseStudy
+        .spec()
+        .build_graph(&mut rng)
+        .expect("case-study spec compiles");
     let engine = TraceEngine::new(&model);
     let img = init::uniform(&mut rng, &[3, 32, 32], 0.0, 1.0);
     c.bench_function("trace_inference_case_study_cnn", |b| {

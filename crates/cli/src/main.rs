@@ -279,7 +279,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         .run()
         .map_err(|e| e.to_string())?;
     let total_ms = start.elapsed().as_millis();
-    println!("{:<18} {:<18} {}", "stage", "fingerprint", "status");
+    println!("{:<18} {:<18} status", "stage", "fingerprint");
     for s in &report.stages {
         println!(
             "{:<18} {:<18} {}",
@@ -678,10 +678,9 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     let start = Instant::now();
     let mut admitted = vec![false; stream.len()];
     for (i, (image, _)) in stream.iter().enumerate() {
-        match monitor.submit(image.clone()) {
-            Ok(_) => admitted[i] = true,
-            Err(_) => {} // shed under the shed policy; counted by the service
-        }
+        // A failed submit was shed under the shed policy; the service
+        // counts it.
+        admitted[i] = monitor.submit(image.clone()).is_ok();
     }
     monitor.close();
 
@@ -710,7 +709,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
             clean_flagged += u64::from(v.flagged);
         }
         done += 1;
-        if done % (flags.batch as u64 * 4) == 0 {
+        if done.is_multiple_of(flags.batch as u64 * 4) {
             let s = monitor.stats();
             println!(
                 "{:>8} {:>8} {:>8} {:>9.1}% {:>9.1}%",

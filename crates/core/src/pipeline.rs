@@ -170,8 +170,8 @@ impl PipelineConfig {
     /// The canonical configuration for an arbitrary graph spec: the spec's
     /// split sizes and training recipe, and the paper's measurement and
     /// detector defaults. This is the bring-your-own-architecture entry
-    /// point; `spec` typically comes from `scenario::load_spec` or the
-    /// generated variant library.
+    /// point; `spec` typically comes from `scenario::load_spec` on one of
+    /// the `specs/*.ahg` files or a user-written one.
     #[must_use]
     pub fn for_spec(spec: Arc<GraphSpec>) -> Self {
         Self {
@@ -1043,9 +1043,9 @@ mod tests {
         };
         let canonical = tiny_config();
 
-        // A generated variant must not collide with any canonical address.
-        let variant = PipelineConfig::for_spec(Arc::new(advhunter_nn::variants::all().remove(0)))
-            .with_sizes(sizes);
+        // A variant spec must not collide with any canonical address.
+        let variant = GraphSpec::parse(include_str!("../../../specs/case_w8.ahg")).expect("spec");
+        let variant = PipelineConfig::for_spec(Arc::new(variant)).with_sizes(sizes);
         assert_ne!(
             canonical.fingerprint(Stage::TrainModel),
             variant.fingerprint(Stage::TrainModel)

@@ -330,32 +330,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_in_specs_match_the_generator() {
-        // The embedded files must be exactly what `gen_specs` would write,
-        // so regeneration is a no-op and digests are stable.
-        for (id, generated) in ScenarioId::ALL
-            .into_iter()
-            .zip(advhunter_nn::variants::canonical_scenarios())
-        {
-            assert_eq!(
-                id.spec_source(),
-                generated.to_canonical_string(),
-                "specs/{}.ahg drifted from variants::canonical_scenarios()",
-                generated.name.replace('-', "_")
-            );
-            assert_eq!(id.spec().digest(), generated.digest());
-        }
-    }
-
-    #[test]
     fn digest_lookup_recognizes_the_canonical_four_only() {
-        for id in ScenarioId::ALL {
-            assert_eq!(ScenarioId::for_digest(id.spec().digest()), Some(id));
-        }
         assert_eq!(ScenarioId::for_digest(0), None);
-        for variant in advhunter_nn::variants::all() {
-            assert_eq!(ScenarioId::for_digest(variant.digest()), None);
+        let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let (mut files, mut canonical) = (0, 0);
+        for entry in std::fs::read_dir(specs).expect("specs dir") {
+            let path = entry.expect("dir entry").path();
+            let text = std::fs::read_to_string(&path).expect("read spec");
+            let digest = GraphSpec::parse(&text).expect("spec").digest();
+            if let Some(id) = ScenarioId::for_digest(digest) {
+                assert_eq!(id.spec_source(), text, "{}", path.display());
+                canonical += 1;
+            }
+            files += 1;
         }
+        assert_eq!(canonical, ScenarioId::ALL.len());
+        assert!(files > canonical, "no variant specs were checked");
     }
 
     #[test]

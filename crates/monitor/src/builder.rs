@@ -5,20 +5,28 @@ use std::time::Duration;
 
 use advhunter::{ArtifactStore, Detector, Pipeline, PipelineConfig, PipelineError};
 use advhunter_exec::TraceEngine;
-use advhunter_fingerprint::FingerprintConfig;
+use advhunter_fingerprint::{FingerprintConfig, FingerprintConfigError};
 use advhunter_nn::Graph;
 use advhunter_runtime::ExecOptions;
 
-use crate::config::{FusionPolicy, MonitorConfig, MonitorConfigError, OverloadPolicy};
-use crate::drift::{DetectorSource, DriftConfig, StoreDetectorSource};
+use crate::config::{FusionPolicy, MonitorConfig, OverloadPolicy};
+use crate::drift::{DetectorSource, DriftConfig, DriftConfigError, StoreDetectorSource};
 use crate::service::Monitor;
 
 /// Why a [`MonitorBuilder`] could not produce a running monitor.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum MonitorBuildError {
-    /// The assembled configuration was invalid.
-    Config(MonitorConfigError),
+    /// The queue capacity was zero: the service could never admit a
+    /// request.
+    ZeroQueueCapacity,
+    /// The micro-batch ceiling was zero: the worker could never drain the
+    /// queue.
+    ZeroMicroBatch,
+    /// The fingerprint stage was enabled with invalid knobs.
+    Fingerprint(FingerprintConfigError),
+    /// The drift test was enabled with invalid knobs.
+    Drift(DriftConfigError),
     /// The offline pipeline failed (store I/O or detector fit) while
     /// booting from a store.
     Pipeline(PipelineError),
@@ -27,7 +35,10 @@ pub enum MonitorBuildError {
 impl std::fmt::Display for MonitorBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Config(e) => write!(f, "invalid monitor configuration: {e}"),
+            Self::ZeroQueueCapacity => write!(f, "monitor queue capacity must be positive"),
+            Self::ZeroMicroBatch => write!(f, "monitor micro-batch size must be positive"),
+            Self::Fingerprint(e) => write!(f, "fingerprint stage: {e}"),
+            Self::Drift(e) => write!(f, "drift test: {e}"),
             Self::Pipeline(e) => write!(f, "offline pipeline failed: {e}"),
         }
     }
@@ -36,15 +47,11 @@ impl std::fmt::Display for MonitorBuildError {
 impl std::error::Error for MonitorBuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Config(e) => Some(e),
+            Self::ZeroQueueCapacity | Self::ZeroMicroBatch => None,
+            Self::Fingerprint(e) => Some(e),
+            Self::Drift(e) => Some(e),
             Self::Pipeline(e) => Some(e),
         }
-    }
-}
-
-impl From<MonitorConfigError> for MonitorBuildError {
-    fn from(e: MonitorConfigError) -> Self {
-        Self::Config(e)
     }
 }
 
@@ -82,16 +89,6 @@ impl MonitorBuilder {
     pub fn new(exec: ExecOptions) -> Self {
         Self {
             config: MonitorConfig::new(exec),
-            source: None,
-            watch_poll: None,
-        }
-    }
-
-    /// Starts from an existing configuration instead of the defaults.
-    #[must_use]
-    pub fn from_config(config: MonitorConfig) -> Self {
-        Self {
-            config,
             source: None,
             watch_poll: None,
         }
@@ -166,8 +163,8 @@ impl MonitorBuilder {
     ///
     /// # Errors
     ///
-    /// [`MonitorBuildError::Config`] when the configuration is invalid;
-    /// no thread is spawned in that case.
+    /// Any configuration variant of [`MonitorBuildError`] when the
+    /// configuration is invalid; no thread is spawned in that case.
     pub fn spawn(
         self,
         engine: TraceEngine,
@@ -182,7 +179,6 @@ impl MonitorBuilder {
             self.source,
             self.watch_poll,
         )
-        .map_err(MonitorBuildError::Config)
     }
 
     /// Boots the service from the staged offline pipeline: runs (or, on a
@@ -205,9 +201,9 @@ impl MonitorBuilder {
     ///
     /// # Errors
     ///
-    /// [`MonitorBuildError::Pipeline`] when the offline phase fails,
-    /// [`MonitorBuildError::Config`] when the configuration is invalid;
-    /// no thread is spawned in either case.
+    /// [`MonitorBuildError::Pipeline`] when the offline phase fails, a
+    /// configuration variant when the configuration is invalid; no thread
+    /// is spawned in either case.
     pub fn spawn_from_store(
         mut self,
         pipeline: PipelineConfig,
@@ -231,6 +227,5 @@ impl MonitorBuilder {
             self.source,
             self.watch_poll,
         )
-        .map_err(MonitorBuildError::Config)
     }
 }

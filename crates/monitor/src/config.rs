@@ -1,11 +1,10 @@
 //! Monitor service configuration.
 
-use std::fmt;
-
-use advhunter_fingerprint::{FingerprintConfig, FingerprintConfigError};
+use advhunter_fingerprint::FingerprintConfig;
 use advhunter_runtime::ExecOptions;
 
-use crate::drift::{DriftConfig, DriftConfigError};
+use crate::builder::MonitorBuildError;
+use crate::drift::DriftConfig;
 
 /// What the monitor does with a submission that arrives while the bounded
 /// queue is full.
@@ -70,7 +69,8 @@ impl FusionPolicy {
     }
 }
 
-/// Configuration of a [`Monitor`](crate::Monitor).
+/// Configuration of a [`Monitor`](crate::Monitor), assembled by
+/// [`MonitorBuilder`](crate::MonitorBuilder).
 ///
 /// The `exec` field carries the determinism contract: request `i` (ids are
 /// assigned in admission order) draws its measurement noise from the
@@ -78,7 +78,7 @@ impl FusionPolicy {
 /// bit-identical for every `exec.parallelism` and every way of batching
 /// the submissions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
+pub(crate) struct MonitorConfig {
     /// Capacity of the bounded submission queue.
     pub queue_capacity: usize,
     /// Maximum number of queued requests coalesced into one measurement
@@ -119,21 +119,21 @@ impl MonitorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorConfigError`] when the queue capacity or the
+    /// Returns [`MonitorBuildError`] when the queue capacity or the
     /// micro-batch ceiling is zero, or when an enabled fingerprint stage
-    /// is misconfigured.
-    pub fn validate(&self) -> Result<(), MonitorConfigError> {
+    /// or drift test is misconfigured.
+    pub fn validate(&self) -> Result<(), MonitorBuildError> {
         if self.queue_capacity == 0 {
-            return Err(MonitorConfigError::ZeroQueueCapacity);
+            return Err(MonitorBuildError::ZeroQueueCapacity);
         }
         if self.micro_batch == 0 {
-            return Err(MonitorConfigError::ZeroMicroBatch);
+            return Err(MonitorBuildError::ZeroMicroBatch);
         }
         self.fingerprint
             .validate()
-            .map_err(MonitorConfigError::Fingerprint)?;
+            .map_err(MonitorBuildError::Fingerprint)?;
         if let Some(drift) = &self.drift {
-            drift.validate().map_err(MonitorConfigError::Drift)?;
+            drift.validate().map_err(MonitorBuildError::Drift)?;
         }
         Ok(())
     }
@@ -145,35 +145,11 @@ impl Default for MonitorConfig {
     }
 }
 
-/// An invalid [`MonitorConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MonitorConfigError {
-    /// `queue_capacity` was zero: the service could never admit a request.
-    ZeroQueueCapacity,
-    /// `micro_batch` was zero: the worker could never drain the queue.
-    ZeroMicroBatch,
-    /// The fingerprint stage was enabled with invalid knobs.
-    Fingerprint(FingerprintConfigError),
-    /// The drift test was enabled with invalid knobs.
-    Drift(DriftConfigError),
-}
-
-impl fmt::Display for MonitorConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::ZeroQueueCapacity => write!(f, "monitor queue capacity must be positive"),
-            Self::ZeroMicroBatch => write!(f, "monitor micro-batch size must be positive"),
-            Self::Fingerprint(e) => write!(f, "fingerprint stage: {e}"),
-            Self::Drift(e) => write!(f, "drift test: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MonitorConfigError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DriftConfigError;
+    use advhunter_fingerprint::FingerprintConfigError;
 
     #[test]
     fn fields_compose_and_validate() {
@@ -185,10 +161,16 @@ mod tests {
         assert!(cfg.validate().is_ok());
         let mut bad = cfg;
         bad.queue_capacity = 0;
-        assert_eq!(bad.validate(), Err(MonitorConfigError::ZeroQueueCapacity));
+        assert!(matches!(
+            bad.validate(),
+            Err(MonitorBuildError::ZeroQueueCapacity)
+        ));
         let mut bad = cfg;
         bad.micro_batch = 0;
-        assert_eq!(bad.validate(), Err(MonitorConfigError::ZeroMicroBatch));
+        assert!(matches!(
+            bad.validate(),
+            Err(MonitorBuildError::ZeroMicroBatch)
+        ));
     }
 
     #[test]
@@ -203,12 +185,12 @@ mod tests {
         let mut bad = cfg;
         bad.fingerprint = FingerprintConfig::default();
         bad.fingerprint.match_threshold = 2.0;
-        assert_eq!(
+        assert!(matches!(
             bad.validate(),
-            Err(MonitorConfigError::Fingerprint(
+            Err(MonitorBuildError::Fingerprint(
                 FingerprintConfigError::BadMatchThreshold
             ))
-        );
+        ));
     }
 
     #[test]
@@ -221,10 +203,10 @@ mod tests {
             window: 0,
             ..DriftConfig::default()
         });
-        assert_eq!(
+        assert!(matches!(
             cfg.validate(),
-            Err(MonitorConfigError::Drift(DriftConfigError::ZeroWindow))
-        );
+            Err(MonitorBuildError::Drift(DriftConfigError::ZeroWindow))
+        ));
     }
 
     #[test]

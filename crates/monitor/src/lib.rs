@@ -18,10 +18,10 @@
 //!   sheds ([`OverloadPolicy::Shed`]) or blocks the caller
 //!   ([`OverloadPolicy::Block`]).
 //! * **Micro-batching** — one worker thread drains up to
-//!   [`MonitorConfig::micro_batch`] requests at a time and measures them
+//!   [`MonitorBuilder::micro_batch`] requests at a time and measures them
 //!   as one batch over the `advhunter-runtime` pool, reusing the engine's
 //!   pooled per-worker scratch so the steady state allocates nothing.
-//! * **Fingerprinting** — when [`MonitorConfig::fingerprint`] is enabled,
+//! * **Fingerprinting** — when [`MonitorBuilder::fingerprint`] is enabled,
 //!   the worker first runs every drained request through a per-tenant
 //!   [`FingerprintStore`] (sequentially, in admission order): queries that
 //!   near-duplicate the tenant's recent history are marked
@@ -51,14 +51,14 @@ mod service;
 mod stats;
 
 pub use builder::{MonitorBuildError, MonitorBuilder};
-pub use config::{FusionPolicy, MonitorConfig, MonitorConfigError, OverloadPolicy};
+pub use config::{FusionPolicy, OverloadPolicy};
 pub use drift::{
     DetectorSource, DriftConfig, DriftConfigError, DriftObservation, DriftTracker,
     StoreDetectorSource,
 };
 pub use queue::{BoundedQueue, PushError, Pushed};
 pub use server::{ControlAccess, WireServer};
-pub use service::{Monitor, MonitorVerdict, RequestTelemetry, SpawnFromStoreError, SubmitError};
+pub use service::{Monitor, MonitorVerdict, RequestTelemetry, SubmitError};
 pub use stats::{ClassFlagStats, StatsSnapshot};
 
 // Re-export the wire-protocol request type: `Monitor::submit` takes it,

@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use advhunter::{Detector, PipelineError, Verdict};
+use advhunter::{Detector, Verdict};
 use advhunter_exec::TraceEngine;
 use advhunter_fingerprint::{FingerprintStore, MatchReport, TenantId};
 use advhunter_nn::Graph;
@@ -14,7 +14,8 @@ use advhunter_runtime::parallel_map_with;
 use advhunter_tensor::Tensor;
 use advhunter_wire::MonitorRequest;
 
-use crate::config::{MonitorConfig, MonitorConfigError, OverloadPolicy};
+use crate::builder::MonitorBuildError;
+use crate::config::{MonitorConfig, OverloadPolicy};
 use crate::drift::{DetectorSource, DriftTracker};
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{MonitorStats, StatsSnapshot};
@@ -45,41 +46,6 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
-
-/// Why [`MonitorBuilder::spawn_from_store`](crate::MonitorBuilder::spawn_from_store)
-/// could not boot the service.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum SpawnFromStoreError {
-    /// The offline pipeline failed (store I/O or detector fit).
-    Pipeline(PipelineError),
-    /// The monitor configuration was invalid.
-    Config(MonitorConfigError),
-}
-
-impl std::fmt::Display for SpawnFromStoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Pipeline(e) => write!(f, "offline pipeline failed: {e}"),
-            Self::Config(e) => write!(f, "invalid monitor configuration: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SpawnFromStoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Pipeline(e) => Some(e),
-            Self::Config(e) => Some(e),
-        }
-    }
-}
-
-impl From<PipelineError> for SpawnFromStoreError {
-    fn from(e: PipelineError) -> Self {
-        Self::Pipeline(e)
-    }
-}
 
 /// Observational timings of one request's trip through the service.
 ///
@@ -265,7 +231,7 @@ impl Monitor {
         config: MonitorConfig,
         source: Option<Arc<dyn DetectorSource>>,
         watch_poll: Option<Duration>,
-    ) -> Result<Self, MonitorConfigError> {
+    ) -> Result<Self, MonitorBuildError> {
         config.validate()?;
         let num_classes = detector.num_classes();
         let shared = Arc::new(Shared {

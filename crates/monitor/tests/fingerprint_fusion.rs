@@ -6,7 +6,7 @@ use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate};
 use advhunter_exec::TraceEngine;
 use advhunter_monitor::{
     FingerprintConfig, FingerprintConfigError, FusionPolicy, Monitor, MonitorBuildError,
-    MonitorBuilder, MonitorConfigError, MonitorRequest, MonitorVerdict,
+    MonitorBuilder, MonitorRequest, MonitorVerdict,
 };
 use advhunter_nn::{Graph, GraphBuilder};
 use advhunter_tensor::{init, Tensor};
@@ -212,8 +212,10 @@ fn fusion_policies_shape_the_headline_flag() {
 #[test]
 fn spawn_rejects_invalid_fingerprint_configs() {
     let (model, engine, detector, _) = fixture();
-    let mut bad = FingerprintConfig::default();
-    bad.probes = 0;
+    let bad = FingerprintConfig {
+        probes: 0,
+        ..FingerprintConfig::default()
+    };
     let err = MonitorBuilder::new(ExecOptions::default())
         .fingerprint(bad)
         .spawn(engine, model, detector)
@@ -221,8 +223,6 @@ fn spawn_rejects_invalid_fingerprint_configs() {
         .unwrap_err();
     assert!(matches!(
         err,
-        MonitorBuildError::Config(MonitorConfigError::Fingerprint(
-            FingerprintConfigError::ZeroProbes
-        ))
+        MonitorBuildError::Fingerprint(FingerprintConfigError::ZeroProbes)
     ));
 }

@@ -4,8 +4,7 @@
 use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Verdict};
 use advhunter_exec::TraceEngine;
 use advhunter_monitor::{
-    MonitorBuildError, MonitorBuilder, MonitorConfigError, MonitorRequest, OverloadPolicy,
-    SubmitError,
+    MonitorBuildError, MonitorBuilder, MonitorRequest, OverloadPolicy, SubmitError,
 };
 use advhunter_nn::{Graph, GraphBuilder};
 use advhunter_tensor::{init, Tensor};
@@ -388,10 +387,7 @@ fn spawn_rejects_invalid_configs() {
         .spawn(engine, model, detector)
         .map(|_| ())
         .unwrap_err();
-    assert!(matches!(
-        err,
-        MonitorBuildError::Config(MonitorConfigError::ZeroQueueCapacity)
-    ));
+    assert!(matches!(err, MonitorBuildError::ZeroQueueCapacity));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! From-scratch neural networks: layers, a small computation graph with
-//! manual backpropagation, optimizers, a training loop, and the micro CNN
-//! model zoo used by the AdvHunter reproduction.
+//! manual backpropagation, optimizers, a training loop, and the `.ahg`
+//! graph-spec format that defines every model of the AdvHunter
+//! reproduction.
 //!
 //! The paper runs PyTorch CNNs (EfficientNet, ResNet18, DenseNet201 plus a
 //! 4-conv/2-fc case-study CNN). This crate rebuilds that substrate natively:
@@ -13,11 +14,9 @@
 //!   IR with a parser, canonical serializer, content digest, load-time shape
 //!   inference, and a compiler into [`Graph`]. This is the open model API;
 //!   any architecture expressible with the ops above can be brought in as a
-//!   text file.
-//! * [`variants`] — a generated library of width/depth sweeps of the four
-//!   paper families plus an encoder–decoder topology, as specs.
-//! * [`models`] — deprecated hardcoded builders for the four paper
-//!   architectures, kept as shims over the checked-in specs.
+//!   text file. The workspace's own architectures — the four paper models
+//!   and their width/depth variants — are the hand-maintained files under
+//!   `specs/`; nothing else defines a model.
 //! * [`train`] — Adam/SGD optimizers and a batched training loop.
 //! * [`record`] — per-activation-layer neuron statistics (paper Figure 1).
 //! * [`io`] — a small binary weight format plus a disk cache so models train
@@ -48,11 +47,9 @@ mod workspace;
 
 pub mod augment;
 pub mod io;
-pub mod models;
 pub mod record;
 pub mod spec;
 pub mod train;
-pub mod variants;
 
 pub use graph::{
     Aux, BatchNorm2d, Conv2dLayer, DwConv2dLayer, ForwardTrace, Gradients, Graph, GraphBuilder,

@@ -397,8 +397,10 @@ mod tests {
     #[test]
     fn prefetcher_inflates_references_on_streams() {
         let cfg_off = MachineConfig::default();
-        let mut cfg_on = MachineConfig::default();
-        cfg_on.prefetch = PrefetchConfig::aggressive();
+        let cfg_on = MachineConfig {
+            prefetch: PrefetchConfig::aggressive(),
+            ..MachineConfig::default()
+        };
         let mut off = MemoryHierarchy::new(cfg_off);
         let mut on = MemoryHierarchy::new(cfg_on);
         for i in 0..256u64 {
@@ -464,8 +466,10 @@ mod tests {
 
     #[test]
     fn load_range_with_prefetcher_enabled_matches_scalar() {
-        let mut cfg = MachineConfig::default();
-        cfg.prefetch = PrefetchConfig::aggressive();
+        let cfg = MachineConfig {
+            prefetch: PrefetchConfig::aggressive(),
+            ..MachineConfig::default()
+        };
         let mut batched = MemoryHierarchy::new(cfg);
         let mut scalar = MemoryHierarchy::new(cfg);
         batched.load_range(0x4000, 32);
