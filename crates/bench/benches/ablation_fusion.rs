@@ -48,7 +48,7 @@ fn main() {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(scaled(200, 40)),

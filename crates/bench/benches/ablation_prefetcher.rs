@@ -22,7 +22,7 @@ fn main() {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(scaled(150, 40)),
@@ -45,7 +45,8 @@ fn main() {
         let engine = TraceEngine::with_config(&art.model, machine, Sampler::default());
         let mut r = StdRng::seed_from_u64(0xAB51);
         let opts = ExecOptions::seeded(0xAB51);
-        let template = collect_template(&engine, &art.model, &art.split.val, None, &opts.stage(0));
+        let template =
+            collect_template(&engine, &art.model, &art.split().val, None, &opts.stage(0));
         let detector = Detector::fit(&template, &DetectorConfig::default(), &opts.stage(1))
             .expect("detector fit");
         let measure =
@@ -57,10 +58,10 @@ fn main() {
                     sample: m.sample,
                 }
             };
-        let clean: Vec<LabeledSample> = (0..art.split.test.len())
+        let clean: Vec<LabeledSample> = (0..art.split().test.len())
             .take(scaled(300, 80))
             .map(|i| {
-                let (img, label) = art.split.test.item(i);
+                let (img, label) = art.split().test.item(i);
                 measure(img, label, &mut r)
             })
             .collect();

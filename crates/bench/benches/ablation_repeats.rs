@@ -21,7 +21,7 @@ fn main() {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(scaled(150, 40)),
@@ -41,17 +41,18 @@ fn main() {
         );
         let mut r = StdRng::seed_from_u64(0xAB31 + repeats as u64);
         let opts = ExecOptions::seeded(0xAB31 + repeats as u64);
-        let template = collect_template(&engine, &art.model, &art.split.val, None, &opts.stage(0));
+        let template =
+            collect_template(&engine, &art.model, &art.split().val, None, &opts.stage(0));
         let cfg = DetectorConfig {
             events: vec![HpcEvent::CacheMisses],
             ..DetectorConfig::default()
         };
         let detector = Detector::fit(&template, &cfg, &opts.stage(1)).expect("detector fit");
 
-        let clean: Vec<LabeledSample> = (0..art.split.test.len())
+        let clean: Vec<LabeledSample> = (0..art.split().test.len())
             .take(scaled(400, 100))
             .map(|i| {
-                let (img, label) = art.split.test.item(i);
+                let (img, label) = art.split().test.item(i);
                 let m = engine.measure(&art.model, img, &mut r);
                 LabeledSample {
                     true_class: label,

@@ -37,16 +37,16 @@ fn main() {
     let target = art.target_class();
     let budget = scaled(40, 10);
 
-    let clean: Vec<Tensor> = (0..art.split.test.len())
+    let clean: Vec<Tensor> = (0..art.split().test.len())
         .filter_map(|i| {
-            let (img, label) = art.split.test.item(i);
+            let (img, label) = art.split().test.item(i);
             (label == target).then(|| img.clone())
         })
         .take(budget)
         .collect();
     let fgsm = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(budget * 2),
@@ -54,7 +54,7 @@ fn main() {
     );
     let pgd = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::pgd(0.2),
         AttackGoal::Targeted(target),
         Some(budget),

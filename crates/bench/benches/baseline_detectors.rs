@@ -57,7 +57,7 @@ fn main() {
     ] {
         let report = attack_dataset(
             &art.model,
-            &art.split.test,
+            &art.split().test,
             &attack,
             goal,
             Some(scaled(150, 40)),

@@ -37,7 +37,7 @@ fn main() {
         });
         let report = attack_dataset(
             &art.model,
-            &art.split.test,
+            &art.split().test,
             &attack,
             AttackGoal::Untargeted,
             Some(scaled(80, 25)),

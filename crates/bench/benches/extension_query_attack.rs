@@ -63,8 +63,8 @@ fn main() {
     };
     let n_traces = scaled(3, 2);
     let mut traces = Vec::new();
-    for (i, image) in art.split.test.images().iter().take(n_traces).enumerate() {
-        let label = art.split.test.labels()[i];
+    for (i, image) in art.split().test.images().iter().take(n_traces).enumerate() {
+        let label = art.split().test.labels()[i];
         traces.push(nes_perturb_recorded(
             &art.model,
             image,
@@ -78,7 +78,7 @@ fn main() {
         .iter()
         .map(advhunter_attacks::NesTrace::queries_issued)
         .sum();
-    let n_clean = scaled(24, 12).min(art.split.test.images().len());
+    let n_clean = scaled(24, 12).min(art.split().test.images().len());
 
     // The defense: quantization coarse enough to collapse σ-scale noise,
     // a window long enough to hold a whole gradient burst, and a
@@ -103,7 +103,7 @@ fn main() {
     // Tenant 0 is a benign high-volume user; each attack trace replays
     // under its own tenant, exactly as the service would see it.
     let mut is_attack = Vec::new();
-    for image in art.split.test.images().iter().take(n_clean) {
+    for image in art.split().test.images().iter().take(n_clean) {
         monitor
             .submit(MonitorRequest::new(image.clone()).tenant(0))
             .expect("submit clean");

@@ -26,8 +26,8 @@ fn main() {
 
     // Clean batch: correctly-classified test images of 'bird'.
     let mut clean_images: Vec<Tensor> = Vec::new();
-    for i in 0..art.split.test.len() {
-        let (img, label) = art.split.test.item(i);
+    for i in 0..art.split().test.len() {
+        let (img, label) = art.split().test.item(i);
         if label != bird || clean_images.len() >= budget {
             continue;
         }
@@ -41,7 +41,7 @@ fn main() {
     // targeted). The paper uses attack strength 0.1.
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.1),
         AttackGoal::Targeted(bird),
         Some(budget * 3),

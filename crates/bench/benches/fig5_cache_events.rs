@@ -27,7 +27,7 @@ fn main() {
 
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.05),
         AttackGoal::Untargeted,
         Some(scaled(250, 50)),

@@ -37,7 +37,7 @@ fn main() {
         // instead; the reproduction target is the saturation shape.
         let report = attack_dataset(
             &art.model,
-            &art.split.test,
+            &art.split().test,
             &Attack::fgsm(0.5),
             AttackGoal::Targeted(art.target_class()),
             Some(scaled(200, 40)),

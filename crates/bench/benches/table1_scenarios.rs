@@ -20,7 +20,7 @@ fn main() {
             id.label(),
             id.dataset_name(),
             id.model_name(),
-            art.clean_accuracy * 100.0,
+            art.clean_accuracy() * 100.0,
             paper_acc,
         );
     }

@@ -28,7 +28,7 @@ fn main() {
     // except the target.
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         None,

@@ -43,7 +43,7 @@ pub fn prepare_scenario_sized(id: ScenarioId, sizes: Option<SplitSizes>) -> Scen
         id.label(),
         art.model_name(),
         art.dataset_name(),
-        art.clean_accuracy * 100.0,
+        art.clean_accuracy() * 100.0,
         if art.from_cache { "cached" } else { "trained" },
         t0.elapsed().as_secs_f64(),
     );
@@ -71,7 +71,7 @@ pub fn prepare_detector(
     seed: u64,
 ) -> PreparedDetector {
     let config = PipelineConfig::for_spec(std::sync::Arc::clone(&art.spec))
-        .with_sizes(art.split.sizes_per_class())
+        .with_sizes(art.split().sizes_per_class())
         .with_seed(seed)
         .with_per_class_cap(val_per_class);
     let store = ArtifactStore::shared().expect("artifact store I/O");
@@ -79,7 +79,7 @@ pub fn prepare_detector(
         .run()
         .expect("offline pipeline for prepared detector");
     let opts = ExecOptions::seeded(seed);
-    let clean_test = measure_dataset(art, &art.split.test, test_per_class, &opts.stage(2));
+    let clean_test = measure_dataset(art, &art.split().test, test_per_class, &opts.stage(2));
     PreparedDetector {
         template: out.template,
         detector: out.detector,

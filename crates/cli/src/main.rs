@@ -301,7 +301,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
     );
     println!(
         "clean accuracy {:.2}%, template M >= {}, detector {} categories x {} events",
-        art.clean_accuracy * 100.0,
+        art.clean_accuracy() * 100.0,
         art.template.min_samples_per_class(),
         art.detector.num_classes(),
         art.detector.events().len()
@@ -491,7 +491,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         model.label,
         art.model_name(),
         art.dataset_name(),
-        art.clean_accuracy * 100.0,
+        art.clean_accuracy() * 100.0,
         if art.from_cache {
             "loaded from store"
         } else {
@@ -542,7 +542,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     );
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &flags.attack,
         goal,
         Some(flags.n),
@@ -555,7 +555,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     );
     let opts = ExecOptions::seeded(0xC13);
     let adv = measure_examples(&art, &report.examples, &opts.stage(0));
-    let clean = measure_dataset(&art, &art.split.test, Some(10), &opts.stage(1));
+    let clean = measure_dataset(&art, &art.split().test, Some(10), &opts.stage(1));
     println!("\n{:>24} {:>10} {:>8}", "event", "accuracy", "F1");
     for event in HpcEvent::ALL {
         let c = detection_confusion(&detector, event, &clean, &adv);
@@ -609,14 +609,14 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     );
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &flags.attack,
         goal,
         Some(flags.n),
         &mut rng,
     );
     let clean_images: Vec<_> = art
-        .split
+        .split()
         .test
         .images()
         .iter()

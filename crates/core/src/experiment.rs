@@ -186,8 +186,14 @@ pub fn run_attack_detection<D: AnomalyDetector + ?Sized>(
     rng: &mut impl Rng,
     opts: &ExecOptions,
 ) -> AttackDetectionRun {
-    let report: AttackReport =
-        attack_dataset(&art.model, &art.split.test, attack, goal, max_attacked, rng);
+    let report: AttackReport = attack_dataset(
+        &art.model,
+        &art.split().test,
+        attack,
+        goal,
+        max_attacked,
+        rng,
+    );
     let adv_samples = measure_examples(art, &report.examples, opts);
     let per_event = events
         .iter()

@@ -41,7 +41,7 @@
 //! );
 //! let (art, report) = pipeline.run()?;
 //! println!("cache hits: {}/{}", report.hits(), report.stages.len());
-//! let m = art.engine.measure_indexed(&art.model, &art.split.test.images()[0], 0, 0);
+//! let m = art.engine.measure_indexed(&art.model, &art.split().test.images()[0], 0, 0);
 //! let verdict = art.detector.evaluate(m.predicted, &m.sample);
 //! let flagged = verdict.flagged_by(HpcEvent::CacheMisses);
 //! # let _ = flagged;

@@ -24,9 +24,16 @@
 //! mixtures). Because every stage is thread-count-deterministic, cached
 //! and freshly computed artifacts are bit-identical, so hits are exact.
 //!
+//! The data split and the clean test accuracy are not artifacts: they are
+//! generated on first read ([`PipelineArtifacts::split`],
+//! [`PipelineArtifacts::clean_accuracy`]). Inside a run only a stage that
+//! misses reads the split (`TrainModel` its `train` part, `CollectTemplate`
+//! its `val` part), so a warm run loads its artifacts and touches no data.
+//!
 //! Stage wall-times land in the global telemetry registry
-//! (`advhunter_pipeline_<stage>_ns`), alongside the store's hit/miss/evict
-//! counters.
+//! (`advhunter_pipeline_<stage>_ns`, plus `advhunter_pipeline_split_ns` and
+//! `advhunter_pipeline_clean_accuracy_ns` for the lazy reads), alongside the
+//! store's hit/miss/evict counters.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -435,22 +442,31 @@ impl PipelineReport {
 pub struct PipelineArtifacts {
     /// The graph spec this run built.
     pub spec: Arc<GraphSpec>,
-    /// Train/val/test data (regenerated deterministically, not stored).
-    pub split: SplitDataset,
     /// The trained victim model.
     pub model: Graph,
     /// The instrumented-inference engine over the model, with the
     /// configured repeat count.
     pub engine: TraceEngine,
-    /// Clean test accuracy.
-    pub clean_accuracy: f32,
     /// The collected per-class template.
     pub template: OfflineTemplate,
     /// The calibrated detector.
     pub detector: Detector,
+    data: LazyData,
 }
 
 impl PipelineArtifacts {
+    /// Train/val/test data (generated on first read, not stored).
+    #[must_use]
+    pub fn split(&self) -> &SplitDataset {
+        self.data.split()
+    }
+
+    /// Clean test accuracy of the model (scored on first read).
+    #[must_use]
+    pub fn clean_accuracy(&self) -> f32 {
+        self.data.clean_accuracy(&self.model)
+    }
+
     /// Architecture display name from the spec.
     #[must_use]
     pub fn model_name(&self) -> &str {
@@ -544,6 +560,8 @@ struct StageTimers {
     template: Arc<Histogram>,
     fit: Arc<Histogram>,
     calibrate: Arc<Histogram>,
+    split: Arc<Histogram>,
+    clean_accuracy: Arc<Histogram>,
 }
 
 fn timers() -> &'static StageTimers {
@@ -566,6 +584,14 @@ fn timers() -> &'static StageTimers {
             calibrate: r.histogram(
                 "advhunter_pipeline_calibrate_ns",
                 "Wall time of the Calibrate stage (load or compute)",
+            ),
+            split: r.histogram(
+                "advhunter_pipeline_split_ns",
+                "Wall time of generating the train/val/test split (first read only)",
+            ),
+            clean_accuracy: r.histogram(
+                "advhunter_pipeline_clean_accuracy_ns",
+                "Wall time of scoring clean test accuracy (first read only)",
             ),
         }
     })
@@ -641,18 +667,77 @@ impl TunePersistence for StoreTunePersistence {
     }
 }
 
-/// The `TrainModel` stage's output plus the always-recomputed context
-/// around it (data split, accuracy).
+/// The data split and clean accuracy around a trained model: not stored,
+/// but generated (and scored) on first read and kept for later reads.
+///
+/// The one home of that context for [`ModelRun`], [`PipelineArtifacts`]
+/// and [`ScenarioArtifacts`](crate::ScenarioArtifacts): the split comes
+/// from the spec's dataset generator at the configured sizes, the accuracy
+/// from `evaluate` over its test part, so lazy values are bit-identical to
+/// eager ones.
+#[derive(Debug, Clone)]
+pub(crate) struct LazyData {
+    spec: Arc<GraphSpec>,
+    sizes: SplitSizes,
+    split: OnceLock<SplitDataset>,
+    clean_accuracy: OnceLock<f32>,
+}
+
+impl LazyData {
+    fn new(spec: Arc<GraphSpec>, sizes: SplitSizes) -> Self {
+        Self {
+            spec,
+            sizes,
+            split: OnceLock::new(),
+            clean_accuracy: OnceLock::new(),
+        }
+    }
+
+    /// The split, generated on the first call.
+    pub(crate) fn split(&self) -> &SplitDataset {
+        self.split.get_or_init(|| {
+            timers()
+                .split
+                .time(|| scenario::generate_data(&self.spec, &self.sizes))
+        })
+    }
+
+    /// `model`'s accuracy on the test split, scored on the first call.
+    /// Every owner pairs one `LazyData` with one model, so later calls
+    /// return that model's score.
+    pub(crate) fn clean_accuracy(&self, model: &Graph) -> f32 {
+        *self.clean_accuracy.get_or_init(|| {
+            let test = &self.split().test;
+            timers()
+                .clean_accuracy
+                .time(|| evaluate(model, test.images(), test.labels()))
+        })
+    }
+}
+
+/// The `TrainModel` stage's output plus the context around it (data
+/// split, accuracy), generated on first read.
 #[derive(Debug, Clone)]
 pub struct ModelRun {
-    /// Train/val/test data.
-    pub split: SplitDataset,
     /// The trained victim model.
     pub model: Graph,
-    /// Clean test accuracy.
-    pub clean_accuracy: f32,
     /// What happened at the `TrainModel` stage.
     pub report: StageReport,
+    pub(crate) data: LazyData,
+}
+
+impl ModelRun {
+    /// Train/val/test data (generated on first read).
+    #[must_use]
+    pub fn split(&self) -> &SplitDataset {
+        self.data.split()
+    }
+
+    /// Clean test accuracy of the model (scored on first read).
+    #[must_use]
+    pub fn clean_accuracy(&self) -> f32 {
+        self.data.clean_accuracy(&self.model)
+    }
 }
 
 /// A configured pipeline bound to a store.
@@ -762,9 +847,10 @@ impl Pipeline {
         ))
     }
 
-    /// Runs (or loads) the `TrainModel` stage: generates the data split,
-    /// compiles the spec into an initialized model, obtains trained
-    /// weights, and records clean test accuracy.
+    /// Runs (or loads) the `TrainModel` stage: compiles the spec into an
+    /// initialized model and obtains trained weights. The data split is
+    /// generated only if training must run (or something later reads it),
+    /// and the clean accuracy only when read.
     ///
     /// # Errors
     ///
@@ -772,7 +858,7 @@ impl Pipeline {
     /// [`PipelineError::Spec`] if the configured spec fails validation.
     pub fn run_model(&self) -> Result<ModelRun, PipelineError> {
         let config = &self.config;
-        let split = scenario::generate_data(&config.spec, &config.sizes);
+        let data = LazyData::new(Arc::clone(&config.spec), config.sizes);
         let base = config
             .spec
             .build_graph(&mut StdRng::seed_from_u64(config.spec.model_seed))?;
@@ -785,6 +871,7 @@ impl Pipeline {
             || {
                 let mut m = base.clone();
                 let mut train_rng = StdRng::seed_from_u64(config.train_seed);
+                let split = data.split();
                 fit(
                     &mut m,
                     split.train.images(),
@@ -796,12 +883,10 @@ impl Pipeline {
             },
             persist::model_to_bytes,
         )?;
-        let clean_accuracy = evaluate(&model, split.test.images(), split.test.labels());
         Ok(ModelRun {
-            split,
             model,
-            clean_accuracy,
             report,
+            data,
         })
     }
 
@@ -837,7 +922,7 @@ impl Pipeline {
                 Ok(collect_template(
                     &engine,
                     &model_run.model,
-                    &model_run.split.val,
+                    &model_run.split().val,
                     config.per_class_cap,
                     &opts.stage(0),
                 ))
@@ -874,12 +959,11 @@ impl Pipeline {
         Ok((
             PipelineArtifacts {
                 spec: Arc::clone(&config.spec),
-                split: model_run.split,
                 model: model_run.model,
                 engine,
-                clean_accuracy: model_run.clean_accuracy,
                 template,
                 detector,
+                data: model_run.data,
             },
             report,
         ))

@@ -18,7 +18,7 @@ use advhunter_nn::spec::GraphSpec;
 use advhunter_nn::train::TrainConfig;
 use advhunter_nn::Graph;
 
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::{LazyData, Pipeline, PipelineConfig};
 use crate::store::ArtifactStore;
 
 /// Which evaluation setup to build — an alias into the checked-in spec
@@ -220,19 +220,26 @@ pub fn load_spec(path: &std::path::Path) -> Result<Arc<GraphSpec>, String> {
 pub struct ScenarioArtifacts {
     /// The graph spec this was built from.
     pub spec: Arc<GraphSpec>,
-    /// Train/val/test data.
-    pub split: SplitDataset,
     /// The trained victim model.
     pub model: Graph,
     /// The instrumented-inference engine for the model.
     pub engine: TraceEngine,
-    /// Clean test accuracy (the Table 1 column).
-    pub clean_accuracy: f32,
     /// Whether the model weights came from the disk cache.
     pub from_cache: bool,
+    data: LazyData,
 }
 
 impl ScenarioArtifacts {
+    /// Train/val/test data (generated on first read).
+    pub fn split(&self) -> &SplitDataset {
+        self.data.split()
+    }
+
+    /// Clean test accuracy (the Table 1 column; scored on first read).
+    pub fn clean_accuracy(&self) -> f32 {
+        self.data.clean_accuracy(&self.model)
+    }
+
     /// The spec's unique name (e.g. `s2`, `case-study`, or a variant id).
     pub fn label(&self) -> &str {
         &self.spec.name
@@ -264,9 +271,9 @@ impl ScenarioArtifacts {
     }
 }
 
-/// Builds (or loads from the shared artifact store) a scenario: generate
-/// data, obtain the trained model via the pipeline's `TrainModel` stage,
-/// wrap it in a trace engine, and record clean accuracy.
+/// Builds (or loads from the shared artifact store) a scenario: obtain the
+/// trained model via the pipeline's `TrainModel` stage and wrap it in a
+/// trace engine. The data and the clean accuracy follow on first read.
 ///
 /// A thin wrapper over [`build_from_spec`] with the scenario's checked-in
 /// spec; `sizes` overrides the spec's default split sizes. No RNG is
@@ -296,11 +303,10 @@ pub fn build_from_spec(spec: Arc<GraphSpec>, sizes: Option<SplitSizes>) -> Scena
     let engine = TraceEngine::new(&run.model);
     ScenarioArtifacts {
         spec,
-        split: run.split,
         model: run.model,
         engine,
-        clean_accuracy: run.clean_accuracy,
         from_cache: run.report.outcome.is_hit(),
+        data: run.data,
     }
 }
 
@@ -358,15 +364,15 @@ mod tests {
             test: 6,
         };
         let art = build_scenario(ScenarioId::CaseStudy, Some(sizes));
-        assert_eq!(art.split.train.len(), 120);
+        assert_eq!(art.split().train.len(), 120);
         assert_eq!(art.label(), "case-study");
         assert_eq!(art.model_name(), "CaseStudyCNN");
         assert_eq!(art.dataset_name(), "CIFAR10-like");
         // Even a tiny training run should beat random guessing (10%).
         assert!(
-            art.clean_accuracy > 0.15,
+            art.clean_accuracy() > 0.15,
             "tiny model accuracy {}",
-            art.clean_accuracy
+            art.clean_accuracy()
         );
         // A rebuild must hit the store.
         let art2 = build_scenario(ScenarioId::CaseStudy, Some(sizes));

@@ -323,7 +323,7 @@ fn store_watcher_swaps_externally_deployed_detector() {
     assert_eq!(monitor.config_epoch(), 1);
 
     // A request scored after the swap carries the new epoch.
-    let image = art.split.test.images()[0].clone();
+    let image = art.split().test.images()[0].clone();
     monitor
         .submit(MonitorRequest::new(image).request_id(1))
         .unwrap();

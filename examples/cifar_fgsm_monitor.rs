@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "victim: {} on {} (clean accuracy {:.1}%), target class '{}'",
         art.model_name(),
         art.dataset_name(),
-        art.clean_accuracy * 100.0,
+        art.clean_accuracy() * 100.0,
         names[target]
     );
 
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let template = collect_template(
         &art.engine,
         &art.model,
-        &art.split.val,
+        &art.split().val,
         None,
         &opts.stage(0),
     );
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The adversary: targeted FGSM pushing every category toward 'frog'.
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(120),
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Measure both populations and score every event.
     let adv = measure_examples(&art, &report.examples, &opts.stage(2));
-    let clean = measure_dataset(&art, &art.split.test, Some(20), &opts.stage(3));
+    let clean = measure_dataset(&art, &art.split().test, Some(20), &opts.stage(3));
     let clean_target: Vec<_> = clean
         .into_iter()
         .filter(|s| s.true_class == target)

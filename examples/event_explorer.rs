@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(120),
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let opts = ExecOptions::seeded(5);
     let adv = measure_examples(&art, &report.examples, &opts.stage(0));
-    let clean = measure_dataset(&art, &art.split.test, Some(15), &opts.stage(1));
+    let clean = measure_dataset(&art, &art.split().test, Some(15), &opts.stage(1));
     let clean_target: Vec<f64> = clean
         .iter()
         .filter(|s| s.true_class == target && s.predicted == target)

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "victim: {} on {} (clean accuracy {:.1}%), detector over {} events",
         art.model_name(),
         art.dataset_name(),
-        art.clean_accuracy * 100.0,
+        art.clean_accuracy() * 100.0,
         art.detector.events().len(),
     );
 
@@ -58,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    FGSM perturbations of the same images.
     let attack = Attack::fgsm(0.3);
     let mut truth = Vec::new();
-    for i in 0..art.split.test.len().min(8) {
-        let (image, label) = art.split.test.item(i);
+    for i in 0..art.split().test.len().min(8) {
+        let (image, label) = art.split().test.item(i);
         monitor.submit(image.clone())?;
         truth.push((false, label));
         let adv = attack.perturb(&art.model, image, label, AttackGoal::Untargeted, &mut rng);

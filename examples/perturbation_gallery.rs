@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let art = build_scenario(ScenarioId::CaseStudy, Some(sizes));
     let out = PathBuf::from("target").join("gallery");
 
-    let (image, label) = art.split.test.item(3);
+    let (image, label) = art.split().test.item(3);
     write_image(image, &out.join("clean.ppm"))?;
     println!(
         "clean image (class {label}) -> {}",

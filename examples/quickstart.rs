@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "victim: {} on {} — clean accuracy {:.1}%",
         art.model_name(),
         art.dataset_name(),
-        art.clean_accuracy * 100.0
+        art.clean_accuracy() * 100.0
     );
     let (template, detector) = (&art.template, &art.detector);
     println!(
@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Online phase, clean inputs: measure a small batch of inferences
     //    and score them together through the batched online API.
-    let batch_len = art.split.test.len().min(4);
-    let clean_images = &art.split.test.images()[..batch_len];
+    let batch_len = art.split().test.len().min(4);
+    let clean_images = &art.split().test.images()[..batch_len];
     let measurements = art
         .engine
         .measure_batch(&art.model, clean_images, 44, &opts.parallelism);
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let verdicts = detector.detect_batch(&queries, HpcEvent::CacheMisses, &opts.parallelism);
     for (i, (m, verdict)) in measurements.iter().zip(&verdicts).enumerate() {
-        let label = art.split.test.labels()[i];
+        let label = art.split().test.labels()[i];
         println!(
             "clean image {i} (class {label}): predicted {}, cache-misses {:.0}, flagged: {}",
             m.predicted,
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             verdict.unwrap_or(false)
         );
     }
-    let (clean_image, label) = art.split.test.item(0);
+    let (clean_image, label) = art.split().test.item(0);
 
     // 4. Online phase, adversarial input: craft an FGSM example and score
     //    its inference the same way.

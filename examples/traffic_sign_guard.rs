@@ -24,14 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         art.model_name(),
         art.dataset_name(),
         art.num_classes(),
-        art.clean_accuracy * 100.0
+        art.clean_accuracy() * 100.0
     );
 
     let opts = ExecOptions::seeded(33);
     let template = collect_template(
         &art.engine,
         &art.model,
-        &art.split.val,
+        &art.split().val,
         None,
         &opts.stage(0),
     );
@@ -42,11 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attack = Attack::pgd(0.2);
     let mut confusion = BinaryConfusion::default();
     let mut shown = 0;
-    for i in 0..art.split.test.len() {
+    for i in 0..art.split().test.len() {
         if shown >= 40 {
             break;
         }
-        let (image, label) = art.split.test.item(i);
+        let (image, label) = art.split().test.item(i);
         // Only start from signs the model reads correctly.
         let batch = Tensor::stack(std::slice::from_ref(image));
         if art.model.predict(&batch)[0] != label {

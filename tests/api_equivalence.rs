@@ -59,7 +59,7 @@ fn collect_template_matches_sequential_at_any_thread_count() {
     let baseline = collect_template(
         &art.engine,
         &art.model,
-        &art.split.val,
+        &art.split().val,
         None,
         &ExecOptions::sequential(41),
     );
@@ -67,7 +67,7 @@ fn collect_template_matches_sequential_at_any_thread_count() {
         let pooled = collect_template(
             &art.engine,
             &art.model,
-            &art.split.val,
+            &art.split().val,
             None,
             &ExecOptions::seeded(41).with_threads(threads),
         );
@@ -101,12 +101,17 @@ fn detector_fit_matches_sequential_at_any_thread_count() {
 #[test]
 fn measure_dataset_matches_sequential_at_any_thread_count() {
     let art = tiny_scenario();
-    let baseline = measure_dataset(&art, &art.split.test, Some(3), &ExecOptions::sequential(43));
+    let baseline = measure_dataset(
+        &art,
+        &art.split().test,
+        Some(3),
+        &ExecOptions::sequential(43),
+    );
     assert!(!baseline.is_empty());
     for threads in THREAD_COUNTS {
         let pooled = measure_dataset(
             &art,
-            &art.split.test,
+            &art.split().test,
             Some(3),
             &ExecOptions::seeded(43).with_threads(threads),
         );
@@ -123,7 +128,7 @@ fn measure_examples_matches_sequential_at_any_thread_count() {
     let mut rng = StdRng::seed_from_u64(0xEA);
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Untargeted,
         Some(6),
@@ -160,7 +165,7 @@ fn fused_fp_config() -> FingerprintConfig {
 /// matches to make), alternating between two tenants.
 fn fused_stream(art: &ScenarioArtifacts) -> Vec<(u64, advhunter_tensor::Tensor)> {
     let mut stream = Vec::new();
-    for (i, image) in art.split.test.images().iter().enumerate() {
+    for (i, image) in art.split().test.images().iter().enumerate() {
         let tenant = (i % 2) as u64;
         stream.push((tenant, image.clone()));
         stream.push((tenant, image.clone()));
@@ -178,11 +183,11 @@ fn run_fused(threads: usize, overload: OverloadPolicy, trickle: bool) -> Vec<Fus
     let opts = ExecOptions::sequential(41);
     let measurements = art.engine.measure_batch(
         &art.model,
-        art.split.val.images(),
+        art.split().val.images(),
         opts.seed,
         &opts.parallelism,
     );
-    let labels = art.split.val.labels();
+    let labels = art.split().val.labels();
     let num_classes = labels.iter().max().copied().unwrap_or(0) + 1;
     let mut per_class = vec![Vec::new(); num_classes];
     for (m, &label) in measurements.iter().zip(labels) {
@@ -274,9 +279,9 @@ fn stage_seeds_are_independent() {
     // different samples, while repeating a stage reproduces it exactly.
     let art = tiny_scenario();
     let opts = ExecOptions::seeded(45);
-    let a = measure_dataset(&art, &art.split.test, Some(2), &opts.stage(0));
-    let b = measure_dataset(&art, &art.split.test, Some(2), &opts.stage(0));
-    let c = measure_dataset(&art, &art.split.test, Some(2), &opts.stage(1));
+    let a = measure_dataset(&art, &art.split().test, Some(2), &opts.stage(0));
+    let b = measure_dataset(&art, &art.split().test, Some(2), &opts.stage(0));
+    let c = measure_dataset(&art, &art.split().test, Some(2), &opts.stage(1));
     assert_eq!(a, b, "same stage must reproduce bit-identically");
     assert!(
         a.iter().zip(&c).any(|(x, y)| x.sample != y.sample),

@@ -25,7 +25,7 @@ fn linf_attacks_respect_epsilon_and_pixel_range() {
     let mut rng = StdRng::seed_from_u64(1);
     for attack in [Attack::fgsm(0.07), Attack::pgd(0.07)] {
         for i in 0..6 {
-            let (img, label) = art.split.test.item(i);
+            let (img, label) = art.split().test.item(i);
             let adv = attack.perturb(&art.model, img, label, AttackGoal::Untargeted, &mut rng);
             assert!(
                 (&adv - img).linf_norm() <= 0.07 + 1e-5,
@@ -43,7 +43,7 @@ fn stronger_attacks_fool_more() {
     let mut rng = StdRng::seed_from_u64(2);
     let weak = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::pgd(0.02),
         AttackGoal::Untargeted,
         None,
@@ -51,7 +51,7 @@ fn stronger_attacks_fool_more() {
     );
     let strong = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::pgd(0.3),
         AttackGoal::Untargeted,
         None,
@@ -73,7 +73,7 @@ fn successful_examples_really_fool_the_model() {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::pgd(0.4),
         AttackGoal::Targeted(target),
         Some(40),
@@ -93,7 +93,7 @@ fn deepfool_finds_smaller_perturbations_than_fgsm() {
     let mut rng = StdRng::seed_from_u64(4);
     let df = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::deepfool(),
         AttackGoal::Untargeted,
         Some(10),
@@ -103,7 +103,7 @@ fn deepfool_finds_smaller_perturbations_than_fgsm() {
     // Compare mean L2 against FGSM at a strength with similar success.
     let fg = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.3),
         AttackGoal::Untargeted,
         Some(10),
@@ -126,8 +126,8 @@ fn deepfool_finds_smaller_perturbations_than_fgsm() {
         }
         total / n.max(1) as f32
     };
-    let df_l2 = mean_l2(&df.examples, &art.split.test);
-    let fg_l2 = mean_l2(&fg.examples, &art.split.test);
+    let df_l2 = mean_l2(&df.examples, &art.split().test);
+    let fg_l2 = mean_l2(&fg.examples, &art.split().test);
     assert!(
         df_l2 < fg_l2 * 1.5,
         "DeepFool perturbations should not be larger: {df_l2} vs {fg_l2}"

@@ -31,9 +31,9 @@ fn cache_misses_detect_what_branches_cannot() {
     let mut rng = StdRng::seed_from_u64(0xE2E);
     let art = build_scenario(ScenarioId::S1, Some(small_sizes()));
     assert!(
-        art.clean_accuracy > 0.5,
+        art.clean_accuracy() > 0.5,
         "victim must be usable, got {:.1}%",
-        art.clean_accuracy * 100.0
+        art.clean_accuracy() * 100.0
     );
 
     // Offline phase.
@@ -41,7 +41,7 @@ fn cache_misses_detect_what_branches_cannot() {
     let template = collect_template(
         &art.engine,
         &art.model,
-        &art.split.val,
+        &art.split().val,
         None,
         &opts.stage(0),
     );
@@ -52,7 +52,7 @@ fn cache_misses_detect_what_branches_cannot() {
     let target = art.target_class();
     let report = attack_dataset(
         &art.model,
-        &art.split.test,
+        &art.split().test,
         &Attack::fgsm(0.5),
         AttackGoal::Targeted(target),
         Some(60),
@@ -65,7 +65,7 @@ fn cache_misses_detect_what_branches_cannot() {
     );
 
     let adv = measure_examples(&art, &report.examples, &opts.stage(2));
-    let clean = measure_dataset(&art, &art.split.test, None, &opts.stage(3));
+    let clean = measure_dataset(&art, &art.split().test, None, &opts.stage(3));
     let clean_target: Vec<_> = clean
         .into_iter()
         .filter(|s| s.true_class == target)
@@ -99,14 +99,14 @@ fn detector_keeps_false_positives_low_on_clean_traffic() {
     let template = collect_template(
         &art.engine,
         &art.model,
-        &art.split.val,
+        &art.split().val,
         None,
         &opts.stage(0),
     );
     let detector =
         Detector::fit(&template, &DetectorConfig::default(), &opts.stage(1)).expect("detector fit");
 
-    let clean = measure_dataset(&art, &art.split.test, None, &opts.stage(2));
+    let clean = measure_dataset(&art, &art.split().test, None, &opts.stage(2));
     let mut flagged = 0usize;
     let mut scored = 0usize;
     for s in &clean {

@@ -291,10 +291,30 @@ fn tune_verdicts_are_cached_and_byte_stable() {
     // thread count) leave every byte untouched. Verdict files are
     // per-geometry and keyed outside the offline stage closures, so the
     // four stage fingerprints never move when tuning state changes.
+    //
+    // Every arm starts from one shared trained model (weights only, no
+    // tune table), so its "cold" run still tunes from scratch but skips
+    // retraining; the forced run retrains at the arm's thread count.
     let config = tiny_config();
+    let weights = {
+        let (store, root) = scratch_store();
+        let run = Pipeline::new(config.clone(), store)
+            .run_model()
+            .expect("train the shared model");
+        std::fs::remove_dir_all(root).ok();
+        model_to_bytes(&run.model)
+    };
     let mut baseline: Option<Vec<(String, Vec<u8>)>> = None;
     for threads in [1usize, 2, 4] {
         let (store, root) = scratch_store();
+        store
+            .save(
+                Stage::TrainModel.artifact_kind(),
+                config.fingerprint(Stage::TrainModel),
+                &weights,
+            )
+            .expect("seed the trained model");
+        assert!(tune_artifacts(&store).is_empty(), "seed holds no verdicts");
         let run = |force: bool| {
             Pipeline::new(config.clone(), store.clone())
                 .with_parallelism(Parallelism::new(threads))
