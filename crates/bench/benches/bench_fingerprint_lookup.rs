@@ -11,14 +11,17 @@
 //!   the floor applies to);
 //! * `end_to_end` — both, i.e. what one monitor request pays.
 //!
-//! Like the other service benches this harness does its own timing and
-//! writes a machine-readable `BENCH_fingerprint.json` at the repo root.
-//! `ADVHUNTER_FP_N` overrides the stream length (default 100_000);
-//! `ADVHUNTER_FP_ASSERT=1` turns the 100k q/s floor into a hard assert
+//! Fingerprint compute is stateless and timed by `timing::time`; the two
+//! store rows are one pass each over a stateful stream (windows fill,
+//! tenants evict), timed by one wall clock. Results land in
+//! `BENCH_fingerprint.json` at the repo root. The stream is
+//! `scaled(100_000, 20_000)` queries under `ADVHUNTER_SCALE`;
+//! `ADVHUNTER_BENCH_ASSERT=1` turns the 100k q/s floor into a hard assert
 //! (set in CI's bench smoke).
 
 use std::time::Instant;
 
+use advhunter_bench::timing::{self, Report};
 use advhunter_fingerprint::{FingerprintConfig, FingerprintStore, QueryFingerprint};
 
 /// The throughput floor (queries/s) CI enforces on `store_observe`.
@@ -27,13 +30,6 @@ const FLOOR_PER_S: f64 = 100_000.0;
 const TENANTS: u64 = 64;
 /// CIFAR-shaped query length for the compute-side measurements.
 const QUERY_LEN: usize = 3 * 32 * 32;
-
-fn stream_len() -> usize {
-    std::env::var("ADVHUNTER_FP_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000)
-}
 
 /// splitmix64 — a cheap deterministic generator for synthetic probes.
 fn mix(mut x: u64) -> u64 {
@@ -62,7 +58,8 @@ fn query_image(seed: u64) -> Vec<f32> {
 }
 
 fn main() {
-    let n = stream_len();
+    let n = advhunter_bench::scaled(100_000, 20_000);
+    let budget = timing::budget();
     let config = FingerprintConfig::default();
 
     advhunter_bench::section("Query-fingerprint store throughput (default config)");
@@ -77,18 +74,17 @@ fn main() {
     );
 
     // Fingerprint compute: quantize + rolling hash over CIFAR-sized data.
-    let compute_n = n.min(4_096);
     let pool: Vec<Vec<f32>> = (0..64).map(|i| query_image(i * 7919)).collect();
     let scratch_store = FingerprintStore::new(config);
-    let t0 = Instant::now();
-    for i in 0..compute_n {
-        std::hint::black_box(scratch_store.fingerprint(&pool[i % pool.len()]));
-    }
-    let compute_us = t0.elapsed().as_secs_f64() * 1e6 / compute_n as f64;
-    let compute_per_s = 1e6 / compute_us;
+    let mut next = 0usize;
+    let compute = timing::time(budget, || {
+        std::hint::black_box(scratch_store.fingerprint(&pool[next % pool.len()]));
+        next += 1;
+    });
+    let compute_per_s = 1e6 / compute.median;
     println!(
-        "fingerprint_compute: {compute_us:>8.2} µs/query  {compute_per_s:>10.0} queries/s \
-         ({compute_n} queries of {QUERY_LEN} values)"
+        "fingerprint_compute: {compute} µs/query  {compute_per_s:>10.0} queries/s \
+         (queries of {QUERY_LEN} values)"
     );
 
     // Store observe: the floor-bearing hot path, on precomputed sketches.
@@ -131,23 +127,22 @@ fn main() {
         if pass { "pass" } else { "FAIL" }
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"fingerprint_lookup\",\n  \"stream_len\": {n},\n  \
-         \"tenants\": {TENANTS},\n  \"window\": {},\n  \"probes\": {},\n  \
-         \"compute_us\": {compute_us:.2},\n  \"compute_per_s\": {compute_per_s:.0},\n  \
-         \"observe_ns\": {observe_ns:.0},\n  \"observe_per_s\": {observe_per_s:.0},\n  \
-         \"end_to_end_us\": {e2e_us:.2},\n  \"end_to_end_per_s\": {e2e_per_s:.0},\n  \
-         \"floor_per_s\": {FLOOR_PER_S:.0},\n  \"pass\": {pass}\n}}\n",
-        config.window, config.probes
-    );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fingerprint.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    Report::new("fingerprint_lookup", budget)
+        .int("stream_len", n as u64)
+        .int("tenants", TENANTS)
+        .int("window", config.window as u64)
+        .int("probes", config.probes as u64)
+        .timing("compute_us", &compute)
+        .num("compute_per_s", compute_per_s)
+        .num("observe_ns", observe_ns)
+        .num("observe_per_s", observe_per_s)
+        .num("end_to_end_us", e2e_us)
+        .num("end_to_end_per_s", e2e_per_s)
+        .num("floor_per_s", FLOOR_PER_S)
+        .flag("pass", pass)
+        .write("BENCH_fingerprint.json");
 
-    if std::env::var("ADVHUNTER_FP_ASSERT").is_ok_and(|v| v == "1") {
+    if timing::asserting() {
         assert!(
             pass,
             "fingerprint store below the {FLOOR_PER_S:.0} queries/s floor: {observe_per_s:.0}/s"

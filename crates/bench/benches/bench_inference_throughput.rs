@@ -1,20 +1,22 @@
 //! Inference hot-path throughput: single-image `measure` (packed kernels
 //! vs the reference loops), per-layer GEMM breakdown, plan-time autotuner
-//! cold/warm cost, batched measurement at 1/4 workers, and the offline
-//! template+fit pipeline end-to-end.
+//! cold/warm cost, batched measurement at 1/4 workers, the offline
+//! template+fit pipeline end-to-end, and the telemetry overhead on
+//! `measure`.
 //!
-//! Unlike the criterion micro-benchmarks this harness does its own timing
-//! and writes a machine-readable `BENCH_inference.json` at the repo root,
-//! including the speedup over the pre-plan engine (which re-traced every
-//! node's geometry and reallocated every activation buffer per
-//! measurement). `CRITERION_MEASURE_MS` bounds the per-section measuring
-//! time (default 300 ms). `ADVHUNTER_KERNEL_ASSERT=1` turns the
-//! packed-kernel speedup and tune-cache floors into hard asserts (for CI).
+//! Every repeated timing goes through `advhunter_bench::timing`, and the
+//! results land in `BENCH_inference.json` at the repo root. Comparisons
+//! (packed vs reference loops, telemetry on vs off) are interleaved A/B
+//! rounds, so clock drift hits both arms alike. `ADVHUNTER_BENCH_MS` sets
+//! the budget per section (default 300 ms); `ADVHUNTER_BENCH_ASSERT=1`
+//! turns the packed-kernel and tune-cache floors into hard asserts.
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
 use advhunter::offline::collect_template;
 use advhunter::{Detector, DetectorConfig, ExecOptions, Parallelism, ScenarioId};
+use advhunter_bench::timing::{self, row, time, time_ab, Report};
 use advhunter_data::{scenarios, SplitSizes};
 use advhunter_exec::TraceEngine;
 use advhunter_nn::gemm_geometries;
@@ -27,44 +29,12 @@ use advhunter_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Single-image `measure` latency of the pre-plan engine on the reference
-/// machine (µs, release build, best-of-iterations over a 1 s budget — the
-/// same methodology `time_per_iter` uses) — the baseline the speedup is
-/// reported against.
-const PRE_PR_SINGLE_IMAGE_US: f64 = 2297.7;
-
-fn measure_budget() -> Duration {
-    let ms = std::env::var("CRITERION_MEASURE_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300u64);
-    Duration::from_millis(ms)
-}
-
-/// Runs `f` repeatedly for about `budget`, returning (best µs per
-/// iteration, iterations). The best — not the mean — estimates the cost of
-/// the code itself: anything else that runs on the machine only ever adds
-/// time.
-fn time_per_iter<F: FnMut()>(budget: Duration, mut f: F) -> (f64, u64) {
-    f(); // warm-up
-    let start = Instant::now();
-    let mut iters = 0u64;
-    let mut best = Duration::MAX;
-    while start.elapsed() < budget || iters == 0 {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-        iters += 1;
-    }
-    (best.as_secs_f64() * 1e6, iters)
-}
+/// Rounds per interleaved A/B section.
+const ROUNDS: usize = 8;
 
 fn main() {
-    if std::env::var("PROFILE_COMPONENTS").is_ok() {
-        profile_components();
-        return;
-    }
-    let budget = measure_budget();
+    let budget = timing::budget();
+    let mut report = Report::new("inference_throughput", budget);
     let mut rng = StdRng::seed_from_u64(1);
     let model = ScenarioId::CaseStudy
         .spec()
@@ -75,23 +45,26 @@ fn main() {
 
     // Plan-time autotuner cost. The process-global memo makes only the very
     // first call cold (it micro-benchmarks every distinct geometry), so this
-    // must run before any engine is built; the second call prices a fully
-    // warm plan build (memo hits + weight packing only).
+    // one-shot must run before any engine is built; every later call prices
+    // a fully warm plan build (memo hits + weight packing only).
     let t0 = Instant::now();
     let kernels = advhunter_exec::tuned_kernels(&model, None);
     let tune_cold_us = t0.elapsed().as_secs_f64() * 1e6;
-    let t0 = Instant::now();
-    std::hint::black_box(advhunter_exec::tuned_kernels(&model, None));
-    let tune_warm_us = t0.elapsed().as_secs_f64() * 1e6;
+    let tune_warm = time(budget / 4, || {
+        black_box(advhunter_exec::tuned_kernels(&model, None));
+    });
     println!(
-        "tune/plan_build: cold {tune_cold_us:>10.1} µs  warm {tune_warm_us:>10.1} µs  \
+        "tune/plan_build: cold {tune_cold_us:.1} µs, warm {tune_warm} \
          ({} packed floats)",
         kernels.packed_floats()
     );
+    report
+        .num("tune_cold_us", tune_cold_us)
+        .timing("tune_warm_us", &tune_warm);
 
     // Reference engine (ADVHUNTER_TUNE=reference leaves the kernel table
     // empty, so every matrix node runs the reference loops) vs the tuned
-    // packed-kernel engine — the A/B this PR is about.
+    // packed-kernel engine.
     std::env::set_var("ADVHUNTER_TUNE", "reference");
     let reference_engine = TraceEngine::new(&model);
     std::env::remove_var("ADVHUNTER_TUNE");
@@ -99,30 +72,37 @@ fn main() {
     let image = init::uniform(&mut StdRng::seed_from_u64(5), &[3, 32, 32], 0.0, 1.0);
 
     // Single-image measure: the unit of both the offline and online phases.
-    let mut rng = StdRng::seed_from_u64(2);
-    let (single_us, iters) = time_per_iter(budget, || {
-        std::hint::black_box(engine.measure(&model, &image, &mut rng));
-    });
-    let single_per_s = 1e6 / single_us;
-    let speedup = PRE_PR_SINGLE_IMAGE_US / single_us;
-    println!(
-        "measure/single_image: {single_us:>10.1} µs/iter  {single_per_s:>8.1}/s  \
-         ({iters} iters, {speedup:.2}x vs pre-plan {PRE_PR_SINGLE_IMAGE_US} µs)"
+    let (mut packed_rng, mut reference_rng) = (StdRng::seed_from_u64(2), StdRng::seed_from_u64(2));
+    let single = time_ab(
+        budget * 2,
+        ROUNDS,
+        [
+            &mut || {
+                black_box(engine.measure(&model, &image, &mut packed_rng));
+            },
+            &mut || {
+                black_box(reference_engine.measure(&model, &image, &mut reference_rng));
+            },
+        ],
     );
-
-    let mut rng = StdRng::seed_from_u64(2);
-    let (reference_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(reference_engine.measure(&model, &image, &mut rng));
-    });
-    let packed_speedup = reference_us / single_us;
+    let packed_speedup = single.b.median / single.a.median;
+    row("measure/single_image", &single.a);
+    row("measure/single_image/reference_loops", &single.b);
     println!(
-        "measure/single_image/reference_loops: {reference_us:>10.1} µs/iter  \
-         (packed kernels {packed_speedup:.2}x faster)"
+        "packed kernels {packed_speedup:.2}x faster (paired per-round difference {:+.1}% ± {:.1} IQR)",
+        single.delta_pct.median,
+        single.delta_pct.iqr()
     );
+    report
+        .timing("single_image_us", &single.a)
+        .num("single_image_per_s", 1e6 / single.a.median)
+        .timing("reference_single_image_us", &single.b)
+        .num("packed_speedup_vs_reference", packed_speedup)
+        .timing("reference_minus_packed_pct", &single.delta_pct);
 
     // Per-layer GEMM breakdown: each matrix node's reference loops vs its
     // tuned packed kernel, on synthetic operands of the node's geometry.
-    let mut layer_rows = Vec::new();
+    let mut log_speedups = Vec::new();
     for (i, (node, geometry)) in model
         .nodes()
         .iter()
@@ -147,22 +127,27 @@ fn main() {
         let bias = init::uniform(&mut StdRng::seed_from_u64(120 + i as u64), &[m], -0.1, 0.1);
         let packed = PackedWeights::pack_tensor(&wt, kernel.variant);
 
-        let (ref_us, packed_us) = match geo.op {
+        let ab = match geo.op {
             GemmOpKind::Conv => {
                 let mut out = Tensor::zeros(&[m, n]);
-                let (r, _) = time_per_iter(budget / 4, || {
-                    matmul_into(&wt, &data, &mut out);
-                    for (j, v) in out.data_mut().iter_mut().enumerate() {
-                        *v += bias.data()[j / n];
-                    }
-                    std::hint::black_box(&out);
-                });
                 let mut pout = vec![0.0f32; m * n];
-                let (p, _) = time_per_iter(budget / 4, || {
-                    gemm_packed_bias_into(&packed, data.data(), n, bias.data(), &mut pout);
-                    std::hint::black_box(&pout);
-                });
-                (r, p)
+                time_ab(
+                    budget / 2,
+                    ROUNDS,
+                    [
+                        &mut || {
+                            matmul_into(&wt, &data, &mut out);
+                            for (j, v) in out.data_mut().iter_mut().enumerate() {
+                                *v += bias.data()[j / n];
+                            }
+                            black_box(&out);
+                        },
+                        &mut || {
+                            gemm_packed_bias_into(&packed, data.data(), n, bias.data(), &mut pout);
+                            black_box(&pout);
+                        },
+                    ],
+                )
             }
             GemmOpKind::Linear => {
                 let x = init::uniform(
@@ -172,55 +157,66 @@ fn main() {
                     1.0,
                 );
                 let mut out = Tensor::zeros(&[1, m]);
-                let (r, _) = time_per_iter(budget / 4, || {
-                    linear_into(&x, &wt, &bias, &mut out);
-                    std::hint::black_box(&out);
-                });
                 let mut pout = vec![0.0f32; m];
-                let (p, _) = time_per_iter(budget / 4, || {
-                    linear_packed_bias_into(&packed, x.data(), 1, bias.data(), &mut pout);
-                    std::hint::black_box(&pout);
-                });
-                (r, p)
+                time_ab(
+                    budget / 2,
+                    ROUNDS,
+                    [
+                        &mut || {
+                            linear_into(&x, &wt, &bias, &mut out);
+                            black_box(&out);
+                        },
+                        &mut || {
+                            linear_packed_bias_into(&packed, x.data(), 1, bias.data(), &mut pout);
+                            black_box(&pout);
+                        },
+                    ],
+                )
             }
         };
+        let speedup = ab.a.median / ab.b.median;
         println!(
-            "gemm/{:<8} {:>3}x{:>4}x{:>4} [{}]: ref {ref_us:>8.1} µs  packed {packed_us:>8.1} µs  \
-             ({:.2}x)",
+            "gemm/{:<8} {:>3}x{:>4}x{:>4} [{}]: ref {:>8.2} µs  packed {:>8.2} µs  ({speedup:.2}x)",
             node.name,
             m,
             k,
             n,
             kernel.variant.label(),
-            ref_us / packed_us
+            ab.a.median,
+            ab.b.median,
         );
-        layer_rows.push((node.name.clone(), kernel.variant.label(), ref_us, packed_us));
+        log_speedups.push(speedup.ln());
+        report
+            .text(
+                &format!("gemm_{}_variant", node.name),
+                kernel.variant.label(),
+            )
+            .timing(&format!("gemm_{}_reference_us", node.name), &ab.a)
+            .timing(&format!("gemm_{}_packed_us", node.name), &ab.b);
     }
+    let gemm_geomean = (log_speedups.iter().sum::<f64>() / log_speedups.len() as f64).exp();
+    println!("gemm speedup geomean: {gemm_geomean:.2}x");
+    report.num("gemm_speedup_geomean", gemm_geomean);
 
     // Batched measurement at 1 and 4 workers (per-worker scratch reuse).
     // The pool never oversubscribes, so on a host with fewer than 4 cores
     // the 4-worker row actually runs with `available_parallelism` workers
     // — say so, or the row reads like a scaling regression.
-    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    if cores > 0 && cores < 4 {
+    let cores = timing::cores();
+    if cores < 4 {
         println!("note: only {cores} core(s) available — worker requests are capped there");
     }
     let mut img_rng = StdRng::seed_from_u64(3);
     let images: Vec<_> = (0..32)
         .map(|_| init::uniform(&mut img_rng, &[3, 32, 32], 0.0, 1.0))
         .collect();
-    let mut batch_us = Vec::new();
     for threads in [1usize, 4] {
         let parallelism = Parallelism::new(threads);
-        let (us, iters) = time_per_iter(budget, || {
-            std::hint::black_box(engine.measure_batch(&model, &images, 7, &parallelism));
+        let batch = time(budget, || {
+            black_box(engine.measure_batch(&model, &images, 7, &parallelism));
         });
-        println!(
-            "measure_batch/32_images/{threads}t: {us:>10.1} µs/iter  \
-             {:>8.1} images/s  ({iters} iters)",
-            32.0 * 1e6 / us
-        );
-        batch_us.push((threads, us));
+        row(&format!("measure_batch/32_images/{threads}t"), &batch);
+        report.timing(&format!("measure_batch_32_{threads}t_us"), &batch);
     }
 
     // Offline phase end-to-end: template collection + GMM-bank fit.
@@ -233,64 +229,59 @@ fn main() {
         },
     );
     let opts = ExecOptions::seeded(21).with_threads(4);
-    let (fit_us, iters) = time_per_iter(budget, || {
+    let fit = time(budget, || {
         let template = collect_template(&engine, &model, &split.val, None, &opts.stage(0));
-        std::hint::black_box(Detector::fit(
+        black_box(Detector::fit(
             &template,
             &DetectorConfig::default(),
             &opts.stage(1),
         ))
         .ok();
     });
-    println!("offline/collect+fit/6_images/4t: {fit_us:>10.1} µs/iter  ({iters} iters)");
+    row("offline/collect+fit/6_images/4t", &fit);
+    report.timing("offline_collect_fit_us", &fit);
 
-    let mut layer_json = String::new();
-    for (name, label, ref_us, packed_us) in &layer_rows {
-        layer_json.push_str(&format!(
-            "  \"gemm_{name}_variant\": \"{label}\",\n  \
-             \"gemm_{name}_reference_us\": {ref_us:.1},\n  \
-             \"gemm_{name}_packed_us\": {packed_us:.1},\n"
-        ));
-    }
-    let gemm_geomean = (layer_rows
-        .iter()
-        .map(|(_, _, reference, packed)| (reference / packed).ln())
-        .sum::<f64>()
-        / layer_rows.len() as f64)
-        .exp();
-    layer_json.push_str(&format!("  \"gemm_speedup_geomean\": {gemm_geomean:.2},\n"));
-    let json = format!(
-        "{{\n  \"benchmark\": \"inference_throughput\",\n  \
-         \"budget_ms\": {},\n  \
-         \"pre_pr_single_image_us\": {PRE_PR_SINGLE_IMAGE_US},\n  \
-         \"single_image_us\": {single_us:.1},\n  \
-         \"single_image_per_s\": {single_per_s:.1},\n  \
-         \"speedup_vs_pre_pr\": {speedup:.2},\n  \
-         \"reference_single_image_us\": {reference_us:.1},\n  \
-         \"packed_speedup_vs_reference\": {packed_speedup:.2},\n  \
-         \"tune_cold_us\": {tune_cold_us:.1},\n  \
-         \"tune_warm_us\": {tune_warm_us:.1},\n\
-         {layer_json}  \
-         \"measure_batch_32_1t_us\": {:.1},\n  \
-         \"measure_batch_32_4t_us\": {:.1},\n  \
-         \"offline_collect_fit_us\": {fit_us:.1}\n}}\n",
-        budget.as_millis(),
-        batch_us[0].1,
-        batch_us[1].1,
+    // Telemetry overhead: the same `measure_indexed` call (pure in image,
+    // seed and index) with recording off and on. The enabled path pays two
+    // stage spans (four clock reads) plus a few relaxed atomic adds; the
+    // disabled path skips the clock reads. The figure is the paired
+    // per-round difference with its spread: an overhead inside the IQR is
+    // below what this machine can resolve, not a measured saving.
+    let was_enabled = advhunter_telemetry::enabled();
+    let telemetry = time_ab(
+        budget,
+        ROUNDS,
+        [
+            &mut || {
+                advhunter_telemetry::disable();
+                black_box(engine.measure_indexed(&model, &image, 7, 0));
+            },
+            &mut || {
+                advhunter_telemetry::enable();
+                black_box(engine.measure_indexed(&model, &image, 7, 0));
+            },
+        ],
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_inference.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    advhunter_telemetry::set_enabled(was_enabled);
+    row("measure/single_image/telemetry_off", &telemetry.a);
+    row("measure/single_image/telemetry_on", &telemetry.b);
+    println!(
+        "telemetry overhead: {:+.2}% ± {:.2} IQR over {ROUNDS} paired rounds",
+        telemetry.delta_pct.median,
+        telemetry.delta_pct.iqr()
+    );
+    report
+        .timing("telemetry_disabled_single_image_us", &telemetry.a)
+        .timing("telemetry_enabled_single_image_us", &telemetry.b)
+        .timing("telemetry_overhead_pct", &telemetry.delta_pct);
+    report.write("BENCH_inference.json");
 
-    // CI perf floor (pattern of ADVHUNTER_FP_ASSERT): relative floors only —
-    // the packed kernels must actually beat the reference loops, and the
-    // warm tuner must not re-benchmark. Absolute-µs floors would be noise.
-    // The kernel floor is the geometric mean of per-layer GEMM speedups:
-    // the full measure path is dominated by the (unchanged) trace
-    // simulation, which would dilute the signal below the noise floor.
-    if std::env::var("ADVHUNTER_KERNEL_ASSERT").is_ok_and(|v| v == "1") {
+    // CI perf floors, on medians: relative floors only — the packed kernels
+    // must actually beat the reference loops, and the warm tuner must not
+    // re-benchmark. Absolute-µs floors would be noise. The kernel floor is
+    // the geometric mean of per-layer GEMM speedups: the full measure path
+    // is half trace simulation, which would dilute the signal.
+    if timing::asserting() {
         assert!(
             gemm_geomean >= 1.2,
             "packed GEMM kernels only {gemm_geomean:.2}x (geomean) over reference loops \
@@ -302,128 +293,11 @@ fn main() {
              ({packed_speedup:.2}x vs reference loops)"
         );
         assert!(
-            tune_warm_us * 2.0 < tune_cold_us,
-            "warm plan build ({tune_warm_us:.1} µs) not clearly cheaper than cold \
-             ({tune_cold_us:.1} µs) — tune memo miss?"
+            tune_warm.median * 2.0 < tune_cold_us,
+            "warm plan build ({:.1} µs) not clearly cheaper than cold \
+             ({tune_cold_us:.1} µs) — tune memo miss?",
+            tune_warm.median
         );
-        println!("ADVHUNTER_KERNEL_ASSERT: packed-kernel floors hold");
+        println!("ADVHUNTER_BENCH_ASSERT: packed-kernel floors hold");
     }
-}
-
-fn profile_components() {
-    let budget = measure_budget();
-    let mut rng = StdRng::seed_from_u64(1);
-    let model = ScenarioId::CaseStudy
-        .spec()
-        .build_graph(&mut rng)
-        .expect("case-study spec compiles");
-    let engine = TraceEngine::new(&model);
-    let image = init::uniform(&mut StdRng::seed_from_u64(5), &[3, 32, 32], 0.0, 1.0);
-
-    let mut ws = model.workspace(1);
-    let (fwd_us, _) = time_per_iter(budget, || {
-        model.forward_with(&image, advhunter_nn::Mode::Eval, &mut ws);
-        std::hint::black_box(&ws);
-    });
-    println!("forward_with (reference loops): {fwd_us:>10.1} µs/iter");
-
-    let kernels = advhunter_exec::tuned_kernels(&model, None);
-    let (pfwd_us, _) = time_per_iter(budget, || {
-        model.forward_with_kernels(&image, advhunter_nn::Mode::Eval, &mut ws, &kernels);
-        std::hint::black_box(&ws);
-    });
-    println!("forward_with_kernels (packed): {pfwd_us:>10.1} µs/iter");
-
-    let (tc_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(engine.true_counts(&model, &image));
-    });
-    println!("true_counts (fwd + trace): {tc_us:>10.1} µs/iter");
-
-    let mut rng = StdRng::seed_from_u64(2);
-    let (m_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(engine.measure(&model, &image, &mut rng));
-    });
-    println!("measure (fwd + trace + noise): {m_us:>10.1} µs/iter");
-
-    // Raw access volume of one trace.
-    let counts = engine.true_counts(&model, &image);
-    for e in advhunter_uarch::HpcEvent::ALL {
-        println!("  {e:?}: {}", counts.get(e));
-    }
-
-    // Conv gemm in isolation (conv2 geometry: 16ch 32x32 -> 16ch).
-    use advhunter_tensor::ops::{conv2d_into, Conv2dScratch, Conv2dSpec};
-    let spec = Conv2dSpec::new(16, 16, 3, 1, 1);
-    let x = init::uniform(&mut StdRng::seed_from_u64(8), &[1, 16, 32, 32], -1.0, 1.0);
-    let w = init::uniform(&mut StdRng::seed_from_u64(9), &[16, 16 * 9], -0.1, 0.1);
-    let b = init::uniform(&mut StdRng::seed_from_u64(10), &[16], -0.1, 0.1);
-    let mut out = advhunter_tensor::Tensor::zeros(&[1, 16, 32, 32]);
-    let mut cs = Conv2dScratch::new(16, 32, 32, &spec);
-    let (conv_us, _) = time_per_iter(budget, || {
-        conv2d_into(&x, &w, &b, &spec, &mut cs, &mut out);
-        std::hint::black_box(&out);
-    });
-    println!("conv2d_into conv2-sized: {conv_us:>10.1} µs/iter");
-
-    // Bare gemm of the conv2 lowering: [16,144] x [144,1024].
-    use advhunter_tensor::ops::matmul_into;
-    let ga = init::uniform(&mut StdRng::seed_from_u64(11), &[16, 144], -0.1, 0.1);
-    let gb = init::uniform(&mut StdRng::seed_from_u64(12), &[144, 1024], -1.0, 1.0);
-    let mut gout = advhunter_tensor::Tensor::zeros(&[16, 1024]);
-    let (gemm_us, _) = time_per_iter(budget, || {
-        matmul_into(&ga, &gb, &mut gout);
-        std::hint::black_box(&gout);
-    });
-    println!("matmul_into 16x144x1024: {gemm_us:>10.1} µs/iter");
-
-    // CounterGroup construction cost.
-    let (cg_us, _) = time_per_iter(budget, || {
-        std::hint::black_box(advhunter_uarch::CounterGroup::new(
-            advhunter_uarch::MachineConfig::default(),
-        ));
-    });
-    println!("CounterGroup::new: {cg_us:>10.1} µs/iter");
-
-    // Trace-side cost decomposition on a raw CounterGroup.
-    use advhunter_uarch::{CounterGroup, MachineConfig};
-    let mut g = CounterGroup::new(MachineConfig::default());
-    let (reset_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        std::hint::black_box(&g);
-    });
-    println!("reset_machine: {reset_us:>10.1} µs/iter");
-
-    // fc1-like weight stream: 16384 cold lines (1 MiB) through L1d + LLC.
-    let (stream_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        g.stream_read(0x100000, 16384);
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("stream_read 16384 cold lines (incl reset): {stream_us:>10.1} µs/iter");
-
-    // conv-like warm re-stream: same 1024 lines looped 16x (mostly hits).
-    let (warm_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        for _ in 0..16 {
-            g.stream_read(0x100000, 1024);
-        }
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("stream_read 16x1024 warm lines (incl reset): {warm_us:>10.1} µs/iter");
-
-    // Tile-loop shape: scattered single loads like the activation probes.
-    let (tile_us, _) = time_per_iter(budget, || {
-        g.reset_machine();
-        g.enable();
-        for i in 0..2048u64 {
-            g.load(0x100000 + i * 64);
-        }
-        g.disable();
-        std::hint::black_box(&g);
-    });
-    println!("2048 single loads (incl reset): {tile_us:>10.1} µs/iter");
 }

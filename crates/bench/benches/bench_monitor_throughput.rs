@@ -4,12 +4,14 @@
 //! loop's measurement stage shares no `&mut` engine state across
 //! workers.
 //!
-//! Like `bench_inference_throughput` this harness does its own timing and
-//! writes a machine-readable `BENCH_monitor.json` at the repo root. The
-//! target on a machine with enough cores is sustained monitor throughput
-//! ≥ single-image rate × 0.9 × threads: micro-batch coalescing plus the
+//! Results land in `BENCH_monitor.json` at the repo root. The target on a
+//! machine with enough cores is sustained monitor throughput ≥
+//! single-image rate × 0.9 × threads: micro-batch coalescing plus the
 //! per-worker scratch pool should make service overhead (queue, channel,
-//! telemetry) disappear next to the trace simulation itself.
+//! telemetry) disappear next to the trace simulation itself. The
+//! single-image rate is the warm median `time` reports for the same call
+//! `BENCH_inference.json` records; each monitor stream is one stateful
+//! pass, timed by one wall clock.
 //!
 //! # Simulated multicore
 //!
@@ -24,13 +26,15 @@
 //! state, the only serial parts are scoring and queue bookkeeping — so
 //! simulated speedup at 4 workers must approach 4×.
 //!
-//! `ADVHUNTER_MONITOR_N` overrides the stream length (default 256);
-//! `ADVHUNTER_MONITOR_ASSERT=1` makes the run fail unless the simulated
+//! The stream is `scaled(256, 32)` requests under `ADVHUNTER_SCALE`;
+//! `ADVHUNTER_BENCH_MS` sets the single-image budget, and
+//! `ADVHUNTER_BENCH_ASSERT=1` makes the run fail unless the simulated
 //! 4-worker speedup over 1 worker is ≥ 1.8×.
 
 use std::time::Instant;
 
 use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate};
+use advhunter_bench::timing::{self, row, time, Report};
 use advhunter_exec::TraceEngine;
 use advhunter_monitor::{MonitorBuilder, OverloadPolicy};
 use advhunter_tensor::{init, Tensor};
@@ -41,13 +45,6 @@ const CLASSES: usize = 10;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const SIM_WORKERS: [usize; 3] = [1, 2, 4];
 const MICRO_BATCH: usize = 16;
-
-fn stream_len() -> usize {
-    std::env::var("ADVHUNTER_MONITOR_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-}
 
 /// A fitted detector for the benchmark model, built from measured traces
 /// of random images binned round-robin into categories. (The detector's
@@ -112,7 +109,8 @@ fn simulate_workers(
 }
 
 fn main() {
-    let n = stream_len();
+    let n = advhunter_bench::scaled(256, 32);
+    let budget = timing::budget();
     let mut rng = StdRng::seed_from_u64(1);
     let model = advhunter::scenario::ScenarioId::CaseStudy
         .spec()
@@ -126,16 +124,14 @@ fn main() {
 
     // Baseline: raw single-image measurement rate, no service in the way.
     let engine = TraceEngine::new(&model);
-    let warmup = engine.measure_indexed(&model, &images[0], 7, 0);
-    std::hint::black_box(&warmup);
-    let t0 = Instant::now();
-    let single_probe = 32.min(n);
-    for (i, image) in images.iter().take(single_probe).enumerate() {
-        std::hint::black_box(engine.measure_indexed(&model, image, 7, i as u64));
-    }
-    let single_us = t0.elapsed().as_secs_f64() * 1e6 / single_probe as f64;
-    let single_per_s = 1e6 / single_us;
-    println!("measure/single_image: {single_us:>10.1} µs  {single_per_s:>8.1} images/s");
+    let mut index = 0u64;
+    let single = time(budget, || {
+        let image = &images[index as usize % n];
+        std::hint::black_box(engine.measure_indexed(&model, image, 7, index));
+        index += 1;
+    });
+    let single_per_s = 1e6 / single.median;
+    row("measure/single_image", &single);
 
     let mut rows = Vec::new();
     for threads in THREAD_COUNTS {
@@ -192,46 +188,34 @@ fn main() {
         .map_or(0.0, |(_, per_s, _)| *per_s);
     let sim_speedup = if sim_1w > 0.0 { sim_4w / sim_1w } else { 0.0 };
     println!("monitor/sim_speedup_4w_over_1w: {sim_speedup:.2}x");
-    if std::env::var("ADVHUNTER_MONITOR_ASSERT").as_deref() == Ok("1") {
+    let mut report = Report::new("monitor_throughput", budget);
+    report
+        .int("stream_len", n as u64)
+        .timing("single_image_us", &single)
+        .num("single_image_per_s", single_per_s);
+    for (threads, per_s, target, elapsed) in &rows {
+        report
+            .num(&format!("monitor_{threads}t_per_s"), *per_s)
+            .num(&format!("monitor_{threads}t_target_per_s"), *target)
+            .num(
+                &format!("monitor_{threads}t_elapsed_ms"),
+                elapsed.as_secs_f64() * 1e3,
+            );
+    }
+    for (workers, per_s, sim_wall) in &sim_rows {
+        report
+            .num(&format!("sim_monitor_{workers}w_per_s"), *per_s)
+            .num(&format!("sim_monitor_{workers}w_wall_ms"), sim_wall * 1e3);
+    }
+    report.num("sim_speedup_4w_over_1w", sim_speedup);
+    report.write("BENCH_monitor.json");
+
+    if timing::asserting() {
         assert!(
             sim_speedup >= 1.8,
             "simulated 4-worker speedup {sim_speedup:.2}x below the 1.8x floor: \
              the measurement stage is sharing mutable engine state"
         );
         println!("sim scaling assertion passed (>= 1.8x)");
-    }
-
-    let mut json = String::from("{\n  \"benchmark\": \"monitor_throughput\",\n");
-    json.push_str(&format!("  \"stream_len\": {n},\n"));
-    json.push_str(&format!("  \"single_image_us\": {single_us:.1},\n"));
-    json.push_str(&format!("  \"single_image_per_s\": {single_per_s:.1},\n"));
-    for (threads, per_s, target, elapsed) in &rows {
-        json.push_str(&format!(
-            "  \"monitor_{threads}t_per_s\": {per_s:.1},\n  \
-             \"monitor_{threads}t_target_per_s\": {target:.1},\n  \
-             \"monitor_{threads}t_elapsed_ms\": {},\n",
-            elapsed.as_millis()
-        ));
-    }
-    for (workers, per_s, sim_wall) in &sim_rows {
-        json.push_str(&format!(
-            "  \"sim_monitor_{workers}w_per_s\": {per_s:.1},\n  \
-             \"sim_monitor_{workers}w_wall_ms\": {:.1},\n",
-            sim_wall * 1e3
-        ));
-    }
-    json.push_str(&format!(
-        "  \"sim_speedup_4w_over_1w\": {sim_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"available_parallelism\": {}\n}}\n",
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    ));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_monitor.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }

@@ -8,19 +8,43 @@
 //! curves are flat (or slightly worse with threads); on real multi-core
 //! hardware the offline stages scale near-linearly because each item owns
 //! its trace simulator or EM fit outright.
+//!
+//! Every row is one [`time`] section (median µs per call ± IQR);
+//! `ADVHUNTER_BENCH_MS` sets the budget per row.
+
+use std::hint::black_box;
+use std::time::Duration;
 
 use advhunter::offline::collect_template;
 use advhunter::{Detector, DetectorConfig, ExecOptions, OfflineTemplate, Parallelism};
+use advhunter_bench::timing::{self, time};
 use advhunter_data::Dataset;
 use advhunter_exec::TraceEngine;
 use advhunter_nn::{Graph, GraphBuilder};
 use advhunter_tensor::init;
 use advhunter_uarch::{HpcEvent, HpcSample};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+fn main() {
+    let budget = timing::budget();
+    advhunter_bench::section(&format!(
+        "Thread scaling ({} cores, {} ms per row)",
+        timing::cores(),
+        budget.as_millis()
+    ));
+    bench_collect_template(budget);
+    bench_fit_gmm_bank(budget);
+    bench_score_batch(budget);
+    bench_measure_batch(budget);
+}
+
+/// Times `f` and prints it as one row.
+fn timed_row(name: &str, budget: Duration, f: impl FnMut()) {
+    timing::row(name, &time(budget, f));
+}
 
 fn toy_setup() -> (Graph, TraceEngine, Dataset) {
     let mut rng = StdRng::seed_from_u64(0);
@@ -68,38 +92,40 @@ fn synthetic_template(classes: usize, samples_per_class: usize) -> OfflineTempla
 }
 
 /// Offline stage 1: per-image instrumented traces over the worker pool.
-fn bench_collect_template(c: &mut Criterion) {
+fn bench_collect_template(budget: Duration) {
     let (model, engine, ds) = toy_setup();
     for threads in THREAD_COUNTS {
         let opts = ExecOptions::seeded(7).with_threads(threads);
-        c.bench_function(&format!("offline/collect_template/{threads}t"), |b| {
-            b.iter(|| {
+        timed_row(
+            &format!("offline/collect_template/{threads}t"),
+            budget,
+            || {
                 black_box(collect_template(
                     &engine,
                     &model,
                     black_box(&ds),
                     None,
                     &opts,
-                ))
-            })
-        });
+                ));
+            },
+        );
     }
 }
 
 /// Offline stage 2: the per-(class, event) GMM bank fit.
-fn bench_fit_gmm_bank(c: &mut Criterion) {
+fn bench_fit_gmm_bank(budget: Duration) {
     let template = synthetic_template(10, 60);
     let config = DetectorConfig::default();
     for threads in THREAD_COUNTS {
         let opts = ExecOptions::seeded(7).with_threads(threads);
-        c.bench_function(&format!("offline/fit_gmm_bank/{threads}t"), |b| {
-            b.iter(|| black_box(Detector::fit(black_box(&template), &config, &opts).unwrap()))
+        timed_row(&format!("offline/fit_gmm_bank/{threads}t"), budget, || {
+            black_box(Detector::fit(black_box(&template), &config, &opts).unwrap());
         });
     }
 }
 
 /// Online phase: batched NLL scoring of many queries.
-fn bench_score_batch(c: &mut Criterion) {
+fn bench_score_batch(budget: Duration) {
     let template = synthetic_template(10, 60);
     let detector = Detector::fit(
         &template,
@@ -120,35 +146,24 @@ fn bench_score_batch(c: &mut Criterion) {
         .collect();
     for threads in THREAD_COUNTS {
         let parallelism = Parallelism::new(threads);
-        c.bench_function(&format!("online/score_batch_8k/{threads}t"), |b| {
-            b.iter(|| {
-                black_box(detector.score_batch(
-                    black_box(&queries),
-                    HpcEvent::CacheMisses,
-                    &parallelism,
-                ))
-            })
+        timed_row(&format!("online/score_batch_8k/{threads}t"), budget, || {
+            black_box(detector.score_batch(
+                black_box(&queries),
+                HpcEvent::CacheMisses,
+                &parallelism,
+            ));
         });
     }
 }
 
 /// Raw batched measurement throughput (trace simulation dominated).
-fn bench_measure_batch(c: &mut Criterion) {
+fn bench_measure_batch(budget: Duration) {
     let (model, engine, ds) = toy_setup();
     let images = &ds.images()[..16];
     for threads in THREAD_COUNTS {
         let parallelism = Parallelism::new(threads);
-        c.bench_function(&format!("exec/measure_batch_16/{threads}t"), |b| {
-            b.iter(|| black_box(engine.measure_batch(&model, black_box(images), 7, &parallelism)))
+        timed_row(&format!("exec/measure_batch_16/{threads}t"), budget, || {
+            black_box(engine.measure_batch(&model, black_box(images), 7, &parallelism));
         });
     }
 }
-
-criterion_group!(
-    benches,
-    bench_collect_template,
-    bench_fit_gmm_bank,
-    bench_score_batch,
-    bench_measure_batch
-);
-criterion_main!(benches);

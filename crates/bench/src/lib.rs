@@ -4,13 +4,17 @@
 //! Each table/figure has a dedicated `harness = false` bench target (see
 //! `benches/`); `cargo bench --workspace` therefore reproduces the whole
 //! evaluation. The helpers here handle scenario construction, detector
-//! fitting, histogram rendering, and consistent report formatting.
+//! fitting, histogram rendering, and consistent report formatting;
+//! [`timing`] is the one harness every timed bench measures and reports
+//! through.
 
 use advhunter::experiment::{measure_dataset, LabeledSample};
 use advhunter::offline::OfflineTemplate;
 use advhunter::scenario::{build_scenario, ScenarioArtifacts, ScenarioId};
 use advhunter::{ArtifactStore, Detector, ExecOptions, Pipeline, PipelineConfig};
 use advhunter_data::SplitSizes;
+
+pub mod timing;
 
 /// Scale factor for experiment sizes, settable via `ADVHUNTER_SCALE`
 /// (default 1.0). Values below 1 shrink sample counts for quick runs;

@@ -339,7 +339,9 @@ impl AttackFlags {
     }
 }
 
-fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
+/// Parses the attack-stream flags. `detect` screens offline, so with
+/// `service` false every monitor-service flag is an unknown flag.
+fn parse_attack_flags(args: &[String], service: bool) -> Result<AttackFlags, String> {
     let mut attack_name = "fgsm".to_string();
     let mut eps = 0.5f32;
     let mut targeted = false;
@@ -354,7 +356,11 @@ fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
     let mut metrics_json = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        if !service && !matches!(flag, "--attack" | "--eps" | "--targeted" | "-n") {
+            return Err(format!("unknown flag {flag}"));
+        }
+        match flag {
             "--attack" => {
                 attack_name = args.get(i + 1).ok_or("--attack needs a value")?.clone();
                 i += 2;
@@ -483,8 +489,17 @@ fn parse_attack_flags(args: &[String]) -> Result<AttackFlags, String> {
     })
 }
 
+/// Rejects the first argument a subcommand does not use.
+fn reject_extra(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(extra) => Err(format!("unknown flag {extra}")),
+        None => Ok(()),
+    }
+}
+
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let (model, _) = parse_model(args)?;
+    let (model, rest) = parse_model(args)?;
+    reject_extra(&rest)?;
     let art = build_from_spec(Arc::clone(&model.spec), None);
     println!(
         "{}: {} on {} — clean accuracy {:.2}% ({})",
@@ -504,6 +519,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 fn cmd_fit(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
     let out = args.first().ok_or("missing output path for the detector")?;
+    reject_extra(&args[1..])?;
     let store = ArtifactStore::shared().map_err(|e| e.to_string())?;
     println!("running offline pipeline (cached stages load from the store) ...");
     let (art, report) = Pipeline::new(PipelineConfig::for_spec(Arc::clone(&model.spec)), store)
@@ -525,7 +541,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     let det_path = args
         .first()
         .ok_or("missing detector path (run `fit` first)")?;
-    let flags = parse_attack_flags(&args[1..])?;
+    let flags = parse_attack_flags(&args[1..], false)?;
 
     let detector = load_detector(Path::new(det_path)).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(0xC13);
@@ -571,7 +587,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
 
 fn cmd_monitor(args: &[String]) -> Result<(), String> {
     let (model, args) = parse_model(args)?;
-    let flags = parse_attack_flags(&args)?;
+    let flags = parse_attack_flags(&args, true)?;
     let mut rng = StdRng::seed_from_u64(0xC14);
     let opts = ExecOptions::seeded(0xC14);
 
@@ -1032,5 +1048,70 @@ fn rate(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    // Every rejection below happens before a model is built, so none of
+    // these tests trains or loads anything.
+
+    #[test]
+    fn train_rejects_every_extra_argument() {
+        for extra in ["--tiny", "--seed", "extra"] {
+            assert_eq!(
+                cmd_train(&args(&["CASE", extra])),
+                Err(format!("unknown flag {extra}"))
+            );
+        }
+    }
+
+    #[test]
+    fn fit_rejects_arguments_after_its_output_path() {
+        for extra in ["--tiny", "--store", "second.ahd"] {
+            assert_eq!(
+                cmd_fit(&args(&["CASE", "out.ahd", extra])),
+                Err(format!("unknown flag {extra}"))
+            );
+        }
+    }
+
+    #[test]
+    fn detect_rejects_monitor_service_flags() {
+        for flag in [
+            "--tiny",
+            "--capacity",
+            "--batch",
+            "--shed",
+            "--fingerprint",
+            "--fp-window",
+            "--fp-threshold",
+            "--fp-quant",
+            "--tenants",
+            "--fusion",
+            "--metrics-json",
+        ] {
+            assert_eq!(
+                cmd_detect(&args(&["CASE", "det.ahd", "--eps", "0.1", flag, "4"])),
+                Err(format!("unknown flag {flag}"))
+            );
+        }
+    }
+
+    #[test]
+    fn detect_and_monitor_share_the_attack_flags() {
+        let attack = args(&["--attack", "pgd", "--eps", "0.1", "--targeted", "-n", "3"]);
+        for service in [false, true] {
+            let flags = parse_attack_flags(&attack, service).unwrap();
+            assert!(flags.targeted);
+            assert_eq!(flags.n, 3);
+        }
+        assert!(parse_attack_flags(&args(&["--shed"]), true).unwrap().shed);
     }
 }

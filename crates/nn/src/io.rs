@@ -1,5 +1,5 @@
-//! Weight persistence: a small explicit binary format plus a disk cache so
-//! each model trains once per machine.
+//! Weight encoding: a small explicit binary format, plus the cache
+//! directory the artifact store lives under.
 //!
 //! Format (`AHW1`): the `AHW` magic, a one-byte format version (currently
 //! `1`, making the header the familiar `AHW1` byte string), tensor count,
@@ -9,15 +9,13 @@
 //! together with the graph structure (which a `.ahg` spec compiles
 //! deterministically from its model seed).
 //!
-//! [`weights_to_bytes`] / [`weights_from_bytes`] expose the encoding
-//! without touching the filesystem; the artifact store in `advhunter`
-//! reuses them so a stored model payload is byte-identical to an `.ahw`
-//! file written by [`save_weights`].
+//! [`weights_to_bytes`] / [`weights_from_bytes`] never touch the
+//! filesystem; the artifact store in `advhunter` persists their bytes as
+//! its model payload.
 
 use std::fmt;
-use std::fs;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 
 use advhunter_tensor::Tensor;
 
@@ -100,7 +98,7 @@ impl From<io::Error> for WeightsError {
 }
 
 /// Encodes a graph's parameters and running statistics as an `AHW1` byte
-/// payload — the exact bytes [`save_weights`] writes to disk.
+/// payload.
 pub fn weights_to_bytes(graph: &Graph) -> Vec<u8> {
     let mut tensors: Vec<&Tensor> = graph.param_tensors();
     tensors.extend(graph.running_stat_tensors());
@@ -115,33 +113,6 @@ pub fn weights_to_bytes(graph: &Graph) -> Vec<u8> {
         }
     }
     buf
-}
-
-/// Writes a graph's parameters and running statistics to `path`.
-///
-/// # Errors
-///
-/// Returns [`WeightsError::Io`] on filesystem failures.
-pub fn save_weights(graph: &Graph, path: &Path) -> Result<(), WeightsError> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::File::create(path)?.write_all(&weights_to_bytes(graph))?;
-    Ok(())
-}
-
-/// Loads parameters and running statistics saved by [`save_weights`] into a
-/// graph with identical structure.
-///
-/// # Errors
-///
-/// Returns [`WeightsError`] if the file is malformed or its tensor layout
-/// does not match the graph.
-pub fn load_weights(graph: &mut Graph, path: &Path) -> Result<(), WeightsError> {
-    let mut f = fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    weights_from_bytes(graph, &data)
 }
 
 /// Decodes an `AHW1` byte payload produced by [`weights_to_bytes`] into a
@@ -234,7 +205,7 @@ fn take<'d>(data: &'d [u8], cur: &mut usize, n: usize) -> Result<&'d [u8], Weigh
     Ok(s)
 }
 
-/// The directory used to cache trained models, honoring
+/// The cache directory the shared artifact store lives under, honoring
 /// `ADVHUNTER_CACHE_DIR` and defaulting to `target/advhunter-cache` under
 /// the workspace.
 ///
@@ -259,30 +230,6 @@ pub fn cache_dir() -> PathBuf {
     PathBuf::from("target").join("advhunter-cache")
 }
 
-/// Loads cached weights for `key` into `graph`, or runs `train` and caches
-/// the result.
-///
-/// # Errors
-///
-/// Returns [`WeightsError`] only if writing the cache after training fails.
-/// A cache file that is unreadable or mismatches the graph is treated as
-/// stale and regenerated.
-pub fn train_or_load(
-    graph: &mut Graph,
-    key: &str,
-    train: impl FnOnce(&mut Graph),
-) -> Result<bool, WeightsError> {
-    let path = cache_dir().join(format!("{key}.ahw"));
-    // Any unreadable or mismatching cache entry (stale model definition,
-    // interrupted write) is treated as absent.
-    if path.exists() && load_weights(graph, &path).is_ok() {
-        return Ok(true);
-    }
-    train(graph);
-    save_weights(graph, &path)?;
-    Ok(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,44 +249,30 @@ mod tests {
         b.build()
     }
 
-    fn tempdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("advhunter-io-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
-    fn save_load_round_trips_exactly() {
-        let dir = tempdir("roundtrip");
-        let path = dir.join("m.ahw");
+    fn bytes_round_trip_exactly() {
         let a = model(1);
-        save_weights(&a, &path).unwrap();
+        let bytes = weights_to_bytes(&a);
+        assert_eq!(&bytes[..4], b"AHW1", "magic+version must stay AHW1");
         let mut b = model(2); // different random weights
         assert_ne!(a, b);
-        load_weights(&mut b, &path).unwrap();
+        weights_from_bytes(&mut b, &bytes).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn load_rejects_garbage() {
-        let dir = tempdir("garbage");
-        let path = dir.join("bad.ahw");
-        fs::write(&path, b"not a weight file").unwrap();
+    fn decode_rejects_garbage() {
         let mut g = model(1);
         assert!(matches!(
-            load_weights(&mut g, &path),
+            weights_from_bytes(&mut g, b"not a weight file"),
             Err(WeightsError::BadMagic)
         ));
     }
 
     #[test]
-    fn load_rejects_mismatched_model() {
-        let dir = tempdir("mismatch");
-        let path = dir.join("m.ahw");
-        let small = model(1);
-        save_weights(&small, &path).unwrap();
-        // A structurally different model must refuse the file.
+    fn decode_rejects_mismatched_model() {
+        let bytes = weights_to_bytes(&model(1));
+        // A structurally different model must refuse the payload.
         let mut rng = StdRng::seed_from_u64(9);
         let mut b = GraphBuilder::new(&[1, 4, 4]);
         let input = b.input();
@@ -347,75 +280,34 @@ mod tests {
         b.linear("fc", f, 5, &mut rng);
         let mut other = b.build();
         assert!(matches!(
-            load_weights(&mut other, &path),
+            weights_from_bytes(&mut other, &bytes),
             Err(WeightsError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
-    fn train_or_load_trains_once_then_hits_cache() {
-        let dir = tempdir("cache");
-        std::env::set_var("ADVHUNTER_CACHE_DIR", &dir);
-        let key = "unit-test-model";
-        let mut g1 = model(1);
-        let hit1 = train_or_load(&mut g1, key, |g| {
-            // "Training": nudge a weight so we can observe persistence.
-            g.param_tensors_mut()[0].data_mut()[0] = 42.0;
-        })
-        .unwrap();
-        assert!(!hit1, "first call trains");
-        let mut g2 = model(3);
-        let hit2 = train_or_load(&mut g2, key, |_| panic!("must not retrain")).unwrap();
-        assert!(hit2, "second call loads");
-        assert_eq!(g2.param_tensors()[0].data()[0], 42.0);
-        std::env::remove_var("ADVHUNTER_CACHE_DIR");
-    }
-
-    #[test]
     fn running_stats_are_persisted() {
-        let dir = tempdir("running");
-        let path = dir.join("m.ahw");
         let mut a = model(1);
         // Push the running stats away from their init via a train pass.
         let mut rng = StdRng::seed_from_u64(5);
         let x = advhunter_tensor::init::normal(&mut rng, &[8, 1, 4, 4], 3.0, 1.0);
         let t = a.forward(&x, Mode::Train);
         a.update_running_stats(&t);
-        save_weights(&a, &path).unwrap();
         let mut b = model(1);
-        load_weights(&mut b, &path).unwrap();
+        weights_from_bytes(&mut b, &weights_to_bytes(&a)).unwrap();
         assert_eq!(a, b, "running statistics round-trip");
     }
 
     #[test]
-    fn truncated_file_reports_needed_and_available() {
-        let dir = tempdir("trunc");
-        let path = dir.join("m.ahw");
-        let a = model(1);
-        save_weights(&a, &path).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    fn truncated_payload_reports_needed_and_available() {
+        let bytes = weights_to_bytes(&model(1));
         let mut b = model(1);
-        match load_weights(&mut b, &path) {
+        match weights_from_bytes(&mut b, &bytes[..bytes.len() / 2]) {
             Err(WeightsError::Truncated { needed, available }) => {
                 assert!(available < needed, "needed {needed}, available {available}");
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bytes_round_trip_matches_the_file_format() {
-        let dir = tempdir("bytes");
-        let path = dir.join("m.ahw");
-        let a = model(1);
-        save_weights(&a, &path).unwrap();
-        let file_bytes = fs::read(&path).unwrap();
-        assert_eq!(weights_to_bytes(&a), file_bytes, "in-memory == on-disk");
-        assert_eq!(&file_bytes[..4], b"AHW1", "magic+version must stay AHW1");
-        let mut b = model(2);
-        weights_from_bytes(&mut b, &file_bytes).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -42,16 +42,6 @@ struct PoolMetrics {
     worker_idle_ns: Arc<Histogram>,
 }
 
-/// Whether `ADVHUNTER_OVERSUBSCRIBE=1` asked the pool to honour thread
-/// requests beyond `available_parallelism`. Read once per process: the
-/// knob exists for bench/CI harnesses that set it at launch.
-fn oversubscribe_requested() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("ADVHUNTER_OVERSUBSCRIBE").is_ok_and(|v| v == "1" || v == "true")
-    })
-}
-
 fn pool_metrics() -> &'static PoolMetrics {
     static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
@@ -367,15 +357,8 @@ where
     // them than there are cores only adds context switches and cache
     // ping-pong between per-worker scratch states. Results are identical
     // for any worker count (the determinism contract), so capping a
-    // too-large request is observationally safe. ADVHUNTER_OVERSUBSCRIBE=1
-    // lifts the cap for harnesses that deliberately spawn more workers
-    // than cores (e.g. exercising the real worker topology on a
-    // single-core CI container); results are unchanged, only scheduling.
-    let core_cap = if oversubscribe_requested() {
-        usize::MAX
-    } else {
-        std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get)
-    };
+    // too-large request is observationally safe.
+    let core_cap = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
     let threads = parallelism.threads().min(n).min(core_cap);
     if threads <= 1 {
         metrics.sequential_runs.inc();
