@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Rounds per interleaved A/B section.
-const ROUNDS: usize = 8;
+const ROUNDS: usize = 32;
 
 fn main() {
     let budget = timing::budget();
@@ -85,7 +85,7 @@ fn main() {
             },
         ],
     );
-    let packed_speedup = single.b.median / single.a.median;
+    let packed_speedup = single.ratio();
     row("measure/single_image", &single.a);
     row("measure/single_image/reference_loops", &single.b);
     println!(
@@ -174,7 +174,7 @@ fn main() {
                 )
             }
         };
-        let speedup = ab.a.median / ab.b.median;
+        let speedup = 1.0 / ab.ratio();
         println!(
             "gemm/{:<8} {:>3}x{:>4}x{:>4} [{}]: ref {:>8.2} µs  packed {:>8.2} µs  ({speedup:.2}x)",
             node.name,
@@ -276,7 +276,8 @@ fn main() {
         .timing("telemetry_overhead_pct", &telemetry.delta_pct);
     report.write("BENCH_inference.json");
 
-    // CI perf floors, on medians: relative floors only — the packed kernels
+    // CI perf floors, on medians (speedups come from the median paired
+    // per-round difference): relative floors only — the packed kernels
     // must actually beat the reference loops, and the warm tuner must not
     // re-benchmark. Absolute-µs floors would be noise. The kernel floor is
     // the geometric mean of per-layer GEMM speedups: the full measure path

@@ -178,15 +178,8 @@ fn main() {
         println!("monitor/sim_{workers}w: {per_s:>8.1} images/s (simulated wall {sim_wall:.3}s)");
         sim_rows.push((workers, per_s, sim_wall));
     }
-    let sim_1w = sim_rows
-        .iter()
-        .find(|(w, _, _)| *w == 1)
-        .map_or(0.0, |(_, per_s, _)| *per_s);
-    let sim_4w = sim_rows
-        .iter()
-        .find(|(w, _, _)| *w == 4)
-        .map_or(0.0, |(_, per_s, _)| *per_s);
-    let sim_speedup = if sim_1w > 0.0 { sim_4w / sim_1w } else { 0.0 };
+    // SIM_WORKERS runs 1 worker first and 4 workers last.
+    let sim_speedup = sim_rows[2].1 / sim_rows[0].1;
     println!("monitor/sim_speedup_4w_over_1w: {sim_speedup:.2}x");
     let mut report = Report::new("monitor_throughput", budget);
     report

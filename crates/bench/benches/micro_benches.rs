@@ -28,6 +28,7 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let budget = timing::budget();
+    let bench = |name: &str, f: &mut dyn FnMut()| row(name, &time(budget, f));
     advhunter_bench::section(&format!(
         "Micro-benchmarks ({} cores, target-cpu {}, {} ms per row)",
         timing::cores(),
@@ -37,39 +38,30 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(0);
     let addrs: Vec<u64> = (0..8192).map(|_| rng.gen_range(0..4_000_000u64)).collect();
-    row(
-        "cache_8k_random_accesses",
-        &time(budget, || {
-            let mut cache = Cache::new(CacheConfig::new(32 * 1024, 8));
-            for &a in &addrs {
-                cache.access(black_box(a), AccessKind::Read);
-            }
-            black_box(cache.stats().misses());
-        }),
-    );
+    bench("cache_8k_random_accesses", &mut || {
+        let mut cache = Cache::new(CacheConfig::new(32 * 1024, 8));
+        for &a in &addrs {
+            cache.access(black_box(a), AccessKind::Read);
+        }
+        black_box(cache.stats().misses());
+    });
 
-    row(
-        "branch_predictor_4k_loops",
-        &time(budget, || {
-            let mut bp = BranchPredictor::new(12);
-            for pc in 0..4096u64 {
-                bp.predict_loop(black_box(pc * 4), 64);
-            }
-            black_box(bp.misses());
-        }),
-    );
+    bench("branch_predictor_4k_loops", &mut || {
+        let mut bp = BranchPredictor::new(12);
+        for pc in 0..4096u64 {
+            bp.predict_loop(black_box(pc * 4), 64);
+        }
+        black_box(bp.misses());
+    });
 
     let mut rng = StdRng::seed_from_u64(1);
     let spec = Conv2dSpec::new(16, 16, 3, 1, 1);
     let x = init::normal(&mut rng, &[1, 16, 32, 32], 0.0, 1.0);
     let w = init::normal(&mut rng, &[16, 16 * 9], 0.0, 0.1);
     let bias = Tensor::zeros(&[16]);
-    row(
-        "conv2d_16x16_32x32",
-        &time(budget, || {
-            black_box(conv2d(black_box(&x), &w, &bias, &spec));
-        }),
-    );
+    bench("conv2d_16x16_32x32", &mut || {
+        black_box(conv2d(black_box(&x), &w, &bias, &spec));
+    });
 
     let mut rng = StdRng::seed_from_u64(2);
     let data: Vec<f64> = (0..200)
@@ -81,13 +73,10 @@ fn main() {
             }
         })
         .collect();
-    row(
-        "gmm1d_fit_k2_200pts",
-        &time(budget, || {
-            let mut r = StdRng::seed_from_u64(3);
-            black_box(Gmm1d::fit(black_box(&data), 2, &EmConfig::default(), &mut r).unwrap());
-        }),
-    );
+    bench("gmm1d_fit_k2_200pts", &mut || {
+        let mut r = StdRng::seed_from_u64(3);
+        black_box(Gmm1d::fit(black_box(&data), 2, &EmConfig::default(), &mut r).unwrap());
+    });
 
     let mut rng = StdRng::seed_from_u64(4);
     let model = ScenarioId::CaseStudy
@@ -96,21 +85,15 @@ fn main() {
         .expect("case-study spec compiles");
     let engine = TraceEngine::new(&model);
     let img = init::uniform(&mut rng, &[3, 32, 32], 0.0, 1.0);
-    row(
-        "trace_inference_case_study_cnn",
-        &time(budget, || {
-            black_box(engine.true_counts(&model, black_box(&img)));
-        }),
-    );
+    bench("trace_inference_case_study_cnn", &mut || {
+        black_box(engine.true_counts(&model, black_box(&img)));
+    });
     let kernels = advhunter_exec::tuned_kernels(&model, None);
     let mut ws = model.workspace(1);
-    row(
-        "plain_forward_case_study_cnn",
-        &time(budget, || {
-            model.forward_with_kernels(black_box(&img), Mode::Eval, &mut ws, &kernels);
-            black_box(&ws);
-        }),
-    );
+    bench("plain_forward_case_study_cnn", &mut || {
+        model.forward_with_kernels(black_box(&img), Mode::Eval, &mut ws, &kernels);
+        black_box(&ws);
+    });
 
     row(
         "detector_score_all_events",
@@ -122,22 +105,18 @@ fn main() {
     // conv-style warm re-stream (1024 lines 16 times, mostly hits), and
     // scattered single loads like the activation probes.
     let mut g = CounterGroup::new(MachineConfig::default());
-    row(
-        "reset_machine",
-        &time(budget, || {
-            g.reset_machine();
-            black_box(&g);
-        }),
-    );
+    bench("reset_machine", &mut || {
+        g.reset_machine();
+        black_box(&g);
+    });
     let mut replay = |name: &str, pattern: &dyn Fn(&mut CounterGroup)| {
-        let s = time(budget, || {
+        bench(name, &mut || {
             g.reset_machine();
             g.enable();
             pattern(&mut g);
             g.disable();
             black_box(&g);
         });
-        row(name, &s);
     };
     replay("stream_read_16384_cold_lines", &|g| {
         g.stream_read(0x100000, 16384)

@@ -1084,19 +1084,9 @@ mod tests {
 
     #[test]
     fn detect_rejects_monitor_service_flags() {
-        for flag in [
-            "--tiny",
-            "--capacity",
-            "--batch",
-            "--shed",
-            "--fingerprint",
-            "--fp-window",
-            "--fp-threshold",
-            "--fp-quant",
-            "--tenants",
-            "--fusion",
-            "--metrics-json",
-        ] {
+        let service = "--tiny --capacity --batch --shed --fingerprint --fp-window \
+                       --fp-threshold --fp-quant --tenants --fusion --metrics-json";
+        for flag in service.split_whitespace() {
             assert_eq!(
                 cmd_detect(&args(&["CASE", "det.ahd", "--eps", "0.1", flag, "4"])),
                 Err(format!("unknown flag {flag}"))
